@@ -6,10 +6,10 @@
 #                          including the perf smoke
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
-#                          tests, including the fused-vs-unfused decode
-#                          parity checks in tests/test_serving_fusion.py
-#                          and the vectorised-vs-scalar parity sweep in
-#                          tests/test_serving_vectorize.py), plus a
+#                          tests, including the fast subset of the
+#                          golden decode suite — tests/decode_oracle.py
+#                          cases run by tests/test_serving_fusion.py
+#                          and tests/test_serving_vectorize.py), plus a
 #                          2-worker `repro matrix` smoke cell;
 #                          targets < 60 s
 #
@@ -37,7 +37,7 @@ export REPRO_PERF_NO_WALL_GATE=1
 # what trailing steps are added after this block.
 rc=0
 if [[ "$FAST" -eq 1 ]]; then
-  echo "== fast lane: pytest -m 'not slow' (incl. fusion + vectorize parity) =="
+  echo "== fast lane: pytest -m 'not slow' (incl. golden decode suite) =="
   python -m pytest -x -q -m "not slow" || rc=$?
   if [[ "$rc" -eq 0 ]]; then
     # Orchestrator smoke: one tiny scenario cell across 2 worker

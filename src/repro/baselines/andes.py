@@ -65,7 +65,7 @@ class AndesScheduler(BaseScheduler):
         return 0.0003
 
     # --- fast path: FCFS admission while memory allows -----------------------
-    def can_fuse_decode(self, view: SystemView) -> bool:
+    def can_fuse_window(self, view: SystemView) -> bool:
         """Boundary is stateless and pure (FCFS admission only), so ask
         it directly: an empty decision now stays empty for the whole
         fused window — no free slot appears and free blocks only

@@ -93,7 +93,7 @@ class MLFQScheduler(BaseScheduler):
             self._served_tokens[request.req_id] = request.generated
 
     # --- scheduling ---------------------------------------------------------------
-    def can_fuse_decode(self, view: SystemView) -> bool:
+    def can_fuse_window(self, view: SystemView) -> bool:
         """Boundary only admits waiting requests, so ask it directly:
         an empty decision now stays empty for the whole fused window
         (MLFQ *skips* blocked candidates rather than breaking, but

@@ -30,7 +30,7 @@ class SGLangScheduler(BaseScheduler):
         # ~0.07 ms per pass, the figure the paper quotes for SGLang (§7.6).
         return self._scheduling_cost
 
-    def can_fuse_decode(self, view: SystemView) -> bool:
+    def can_fuse_window(self, view: SystemView) -> bool:
         """Boundary is stateless and pure, so ask it directly.
 
         An empty decision now stays empty for the whole fused window:

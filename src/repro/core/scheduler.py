@@ -171,7 +171,7 @@ class TokenFlowScheduler(BaseScheduler):
         return decision
 
     # --- macro-step decode fusion ---------------------------------------------
-    def can_fuse_decode(self, view: SystemView) -> bool:
+    def can_fuse_window(self, view: SystemView) -> bool:
         """Boundary calls are skippable when they provably cannot act.
 
         With nothing waiting and either no preempted requests or no

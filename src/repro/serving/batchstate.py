@@ -18,12 +18,12 @@ iv*i``::
     c_i = d_i + iv*i,   re-based to exactly t_i at stalls
 
 The first window column uses the untransformed scalar operations
-(``lc + iv`` and its comparison), so single-iteration windows — the
-vectorised *unfused* decode path — reproduce the scalar floats
-exactly.  Deeper columns replace K repeated additions with one
-multiply; together with the closed-form cursor advance below this is
-the rel-1e-9 half of the parity contract (``vectorize_decode`` gates
-it; ``ServingConfig`` docs).
+(``lc + iv`` and its comparison), so a one-column call reproduces the
+scalar floats exactly.  Deeper columns replace K repeated additions
+with one multiply; with the closed-form cursor advance below, this is
+why fused windows match the per-token scalar loop to rel 1e-9 rather
+than bit for bit (pinned by the frozen decode oracle,
+``tests/decode_oracle.py``).
 
 Consumption counting is closed-form instead of cursor replay: tokens
 delivered before the window sit on one arithmetic chain (the fast

@@ -116,7 +116,7 @@ class BaseScheduler(abc.ABC):
         return SchedulerDecision()
 
     # --- macro-step decode fusion protocol ---------------------------------
-    def can_fuse_decode(self, view: SystemView) -> bool:
+    def can_fuse_window(self, view: SystemView) -> bool:
         """May the serving loop skip boundary calls during a fused window?
 
         The fused decode path advances multiple iterations in one
@@ -130,7 +130,7 @@ class BaseScheduler(abc.ABC):
         them in :meth:`on_fused_boundaries`.
 
         Default: ``False`` — unknown policies never fuse, which keeps
-        third-party schedulers bit-for-bit on the per-iteration path.
+        third-party schedulers on single-step iterations.
         """
         return False
 

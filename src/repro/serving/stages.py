@@ -380,14 +380,16 @@ class DecodeStream:
     """Runs planned iterations on the executor and streams generated
     tokens into client buffers (the per-token hot path).
 
-    The decode path has a *fusion plane*: when the batch provably
-    cannot change before the next decision horizon — the earliest
-    pending engine event (tick, arrival, cancel, transfer completion),
-    the earliest request completion, GPU/host capacity exhaustion, or
-    the per-iteration write-drain budget — it advances all K
-    iterations up to that horizon in one event via closed-form bulk
-    updates (see :meth:`_plan_fused` / :meth:`complete_fused` and the
-    "Fusion plane" section of ARCHITECTURE.md).
+    There is one decode path.  Each decode start sizes a window of K
+    iterations: as many as fit before the batch could change — the
+    earliest pending engine event (tick, arrival, cancel, transfer
+    completion), the earliest request completion, GPU/host capacity
+    exhaustion, or the per-iteration write-drain budget.  K >= 2 runs
+    as one event through :meth:`complete_fused` (closed-form KV
+    advance, array delivery via :func:`deliver_batch`); K = 1 runs
+    the single-step kernel :meth:`complete_decode`.  See
+    :meth:`_plan_fused` and the "Decode path" section of
+    ARCHITECTURE.md.
     """
 
     def __init__(self, system: "ServingSystem", memory: MemoryPressureStage) -> None:
@@ -417,13 +419,7 @@ class DecodeStream:
         # names exactly which requests can finish at the next
         # completion instant.  Only meaningful while ``system._busy``.
         self.inflight = None
-        # Vectorised batch plane (serving/batchstate.py): deliver each
-        # decode batch's tokens through array ops instead of the
-        # per-request scalar state machine.  Same parity contract as
-        # the fusion plane; `vectorize_decode=False` keeps the scalar
-        # path bit-for-bit.
-        self.vectorize = system.config.vectorize_decode
-        # Fusion-plane counters (surfaced in RunReport.executor_stats).
+        # Window counters (surfaced in RunReport.executor_stats).
         self.fused_windows = 0
         self.fused_iterations = 0
 
@@ -486,31 +482,34 @@ class DecodeStream:
         now = self.engine.now()
         self.kv.drain_writes(now, now + duration,
                              priority=self.memory.write_priority_at(now))
+        system._busy = True
+        fused = self._plan_fused(batch, result, overhead, now, duration)
+        if fused is None:
+            k = 1
+            self.inflight = ("decode", now + duration, batch)
+            self.engine.call_at(
+                now + duration,
+                lambda: self.complete_decode(result, batch),
+                label="decode-done",
+            )
+        else:
+            times, steps, write_through = fused
+            k = len(times)
+            duration = times[-1] - now
+            self.inflight = ("fused", times[-1], (batch, k))
+            self.engine.call_at(
+                times[-1],
+                lambda: self.complete_fused(
+                    result, batch, times, steps, write_through
+                ),
+                label="decode-fused-done",
+            )
         if system.tracer is not None:
             system.tracer.record(now, "executor", "decode_start",
-                                 batch=len(batch), duration=duration)
-        system._busy = True
-        if system.config.fuse_decode and system.tracer is None:
-            fused = self._plan_fused(batch, result, overhead, now, duration)
-            if fused is not None:
-                times, steps, write_through = fused
-                self.inflight = ("fused", times[-1], (batch, len(times)))
-                self.engine.call_at(
-                    times[-1],
-                    lambda: self.complete_fused(
-                        result, batch, times, steps, write_through
-                    ),
-                    label="decode-fused-done",
-                )
-                return
-        self.inflight = ("decode", now + duration, batch)
-        self.engine.call_at(
-            now + duration,
-            lambda: self.complete_decode(result, batch),
-            label="decode-done",
-        )
+                                 batch=len(batch), iterations=k,
+                                 duration=duration)
 
-    # --- the fusion plane ---------------------------------------------
+    # --- window sizing -----------------------------------------------
     def _plan_fused(self, batch: list, result, overhead: float,
                     now: float, duration: float):
         """Size a macro-step window starting with this iteration.
@@ -519,7 +518,7 @@ class DecodeStream:
         completion instants (bit-identical to the event times the
         per-iteration path would schedule), per-iteration executor
         step durations, and whether write drains must be replicated —
-        or ``None`` when this iteration must run unfused.
+        or ``None`` when this iteration runs as a single step.
 
         A window of K iterations is valid only when *nothing* else can
         observe or perturb state strictly before its last completion:
@@ -527,7 +526,7 @@ class DecodeStream:
         * batch composition is frozen — whole running set fits (the
           composer found no deficit and no overflow), the prefill queue
           is empty, and the scheduler certifies its skipped boundaries
-          are decision-free (:meth:`BaseScheduler.can_fuse_decode` —
+          are decision-free (:meth:`BaseScheduler.can_fuse_window` —
           this covers the waiting queue: a policy may certify e.g. a
           memory-blocked FCFS head, which free blocks only shrinking
           keeps blocked for the whole window);
@@ -564,7 +563,7 @@ class DecodeStream:
         # it re-evaluates the full admission boundary, so the cheap
         # arithmetic rejections above should filter first.
         view = system._iter_view
-        if view is None or not self.scheduler.can_fuse_decode(view):
+        if view is None or not self.scheduler.can_fuse_window(view):
             return None
         kv = self.kv
         req_ids = result.req_ids
@@ -663,12 +662,7 @@ class DecodeStream:
             req_ids, k,
             drain_starts=times[:-1] if write_through else None,
         )
-        if self.vectorize:
-            deliver_batch(self.tracker, batch, times)
-        else:
-            deliver = self.tracker.deliver_tokens
-            for request in batch:
-                deliver(request.req_id, times)
+        deliver_batch(self.tracker, batch, times)
         if now > self.last_token_time:
             self.last_token_time = now
         # Intermediate samples: queue/batch sizes are frozen inside the
@@ -687,78 +681,55 @@ class DecodeStream:
         system._kick()
 
     def complete_decode(self, result, batch: list) -> None:
-        # The per-token fast path: this loop runs once per generated
-        # token across the whole simulation, so emit_token /
-        # deliver_token are inlined (same operations, same order).
+        """Apply one decode iteration (the K = 1 kernel).
+
+        The KV growth is bulked into one call (bit-identical to
+        per-request ``on_decode_token``: same allocations, same busy
+        arithmetic).  Delivery stays scalar: with one token per
+        request there is no K dimension to vectorise, and the array
+        kernel's per-row gather/scatter loses to the O(1) scalar step.
+        Growing KV ahead of the deliveries is safe — plan_decode's
+        fitting pass guaranteed every allocation fits, with or without
+        blocks freed by batch members finishing this iteration.
+        """
         system = self.system
         now = self.engine.now()
         running = RequestState.RUNNING
-        if self.vectorize and system.tracer is None:
-            # Single-iteration advance with the KV growth bulked into
-            # one call (bit-identical to per-request on_decode_token —
-            # same allocations, same busy arithmetic).  Delivery stays
-            # scalar here: with one token per request there is no K
-            # dimension to vectorise, and the array kernel's per-row
-            # gather/scatter overhead loses to the O(1) scalar step.
-            # Reordering KV growth ahead of the deliveries is safe —
-            # plan_decode's fitting pass guaranteed every allocation
-            # fits, with or without blocks freed by batch members
-            # finishing this iteration.
-            live = [r for r in batch if r.state is running]
-            if live:
-                self.kv.fused_decode_advance(
-                    tuple([r.req_id for r in live]), 1, None
-                )
-                entries = self.tracker.entries_by_id
-                invalidate = self.tracker.occupancy_invalidator
-                for request in live:
-                    # Request.record_token inlined (the timestamp-order
-                    # check is vacuous here: the engine's clock is
-                    # monotone, so `now` never precedes a past token).
-                    if request.generated >= request.output_len:
-                        raise RuntimeError(
-                            f"request {request.req_id} already generated "
-                            f"all {request.output_len} tokens"
-                        )
-                    if request.ttft is None:
-                        request.ttft = now - request.arrival_time
-                        request.first_token_time = now
-                    request.generated += 1
-                    request.token_times.append(now)
-                    entries[request.req_id].buffer.deliver(now)
-                    if request.generated >= request.output_len:
-                        # The finish hook may read this request's state
-                        # at `now`; drop its memo entry first, exactly
-                        # as the scalar path's per-delivery pop would.
-                        invalidate(request.req_id, None)
-                        self.finish(request, now)
-                # One memo sweep instead of a pop per delivery; the
-                # memo is a pure cache, so over-clearing only costs
-                # recomputes at the next query.
-                self.tracker.invalidate_occupancy_all()
-                if now > self.last_token_time:
-                    self.last_token_time = now
-            self.executor.commit(result)
-            system._sample_timeline()
-            system._busy = False
-            self.inflight = None
-            system._kick()
-            return
-        on_decode_token = self.kv.on_decode_token
-        entries = self.tracker.entries_by_id
-        invalidate = self.tracker.occupancy_invalidator
-        for request in batch:
-            if request.state is not running:
-                continue
-            req_id = request.req_id
-            on_decode_token(req_id)
-            request.record_token(now)
-            entries[req_id].buffer.deliver(now)
-            invalidate(req_id, None)
+        # Members cancelled or preempted while the iteration ran get
+        # no token.
+        live = [r for r in batch if r.state is running]
+        if live:
+            self.kv.fused_decode_advance(
+                tuple([r.req_id for r in live]), 1, None
+            )
+            entries = self.tracker.entries_by_id
+            invalidate = self.tracker.occupancy_invalidator
+            for request in live:
+                # Request.record_token inlined (the timestamp-order
+                # check is vacuous here: the engine's clock is
+                # monotone, so `now` never precedes a past token).
+                if request.generated >= request.output_len:
+                    raise RuntimeError(
+                        f"request {request.req_id} already generated "
+                        f"all {request.output_len} tokens"
+                    )
+                if request.ttft is None:
+                    request.ttft = now - request.arrival_time
+                    request.first_token_time = now
+                request.generated += 1
+                request.token_times.append(now)
+                entries[request.req_id].buffer.deliver(now)
+                if request.generated >= request.output_len:
+                    # The finish hook may read this request's state
+                    # at `now`; drop its memo entry first.
+                    invalidate(request.req_id, None)
+                    self.finish(request, now)
+            # One memo sweep instead of a pop per delivery; the memo
+            # is a pure cache, so over-clearing only costs recomputes
+            # at the next query.
+            self.tracker.invalidate_occupancy_all()
             if now > self.last_token_time:
                 self.last_token_time = now
-            if request.generated >= request.output_len:
-                self.finish(request, now)
         self.executor.commit(result)
         system._sample_timeline()
         system._busy = False
@@ -767,7 +738,7 @@ class DecodeStream:
 
     # --- token delivery / completion ----------------------------------
     def emit_token(self, request: Request, now: float) -> None:
-        # NOTE: complete_decode inlines this exact sequence (delivery,
+        # NOTE: complete_decode inlines this sequence (delivery,
         # last-token-time update, finish check) for the per-token hot
         # loop — any semantic change here must be mirrored there.
         self.tracker.deliver_token(request.req_id, now)

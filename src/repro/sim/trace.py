@@ -8,13 +8,15 @@ without ad-hoc prints, and exports cleanly to JSONL for external
 tooling.
 
 Recording is opt-in and the no-recorder path costs one `is None`
-check, so production-sized runs are unaffected.
+check, so production-sized runs are unaffected.  A recorder only
+observes: the traced run executes the same decode path as an
+untraced one, so its report is bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -48,7 +50,7 @@ class TraceRecorder:
     Args:
         categories: if given, only these categories are recorded.
         capacity: ring-buffer bound; oldest records are dropped beyond
-            it (None = unbounded).
+            it, counted in ``dropped`` (None = unbounded).
     """
 
     def __init__(
@@ -59,8 +61,7 @@ class TraceRecorder:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
         self._categories = frozenset(categories) if categories is not None else None
-        self._capacity = capacity
-        self.records: list = []
+        self.records: deque = deque(maxlen=capacity)
         self.dropped = 0
 
     def wants(self, category: str) -> bool:
@@ -70,10 +71,10 @@ class TraceRecorder:
         """Append one event (dropped silently if filtered out)."""
         if not self.wants(category):
             return
-        self.records.append(TraceRecord(time, category, event, fields))
-        if self._capacity is not None and len(self.records) > self._capacity:
-            self.records.pop(0)
+        records = self.records
+        if len(records) == records.maxlen:
             self.dropped += 1
+        records.append(TraceRecord(time, category, event, fields))
 
     # --- queries ------------------------------------------------------------
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -215,10 +217,17 @@ class TestProfileCommand:
         for name in ("serving", "kv", "buffer"):
             assert name in out
 
-    def test_no_vectorize_flag(self, capsys):
-        assert main(["profile", "--scale", "0.02", "--no-vectorize"]) == 0
+    def test_decode_coverage_line(self, capsys):
+        assert main(["profile", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
-        assert "vectorize_decode=off" in out
+        assert re.search(r"^decode: \d+ windows · \d+ of \d+ iterations "
+                         r"fused \(\d+\.\d%\) · \d+ single steps$",
+                         out, re.MULTILINE)
+        # There is one decode path: the old switches are unknown flags.
+        for switch in ("fuse", "vectorize"):
+            with pytest.raises(SystemExit):
+                main(["profile", "--scale", "0.02", f"--no-{switch}"])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_artifact_includes_subsystems(self, capsys, tmp_path):
         path = tmp_path / "profile.json"

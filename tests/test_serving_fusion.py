@@ -1,267 +1,111 @@
-"""Macro-step decode fusion: parity and behaviour tests (fast lane).
+"""Decode windows: formation, parity with the frozen oracle, edges.
 
-The fusion plane must be *observationally equivalent* to the
-per-iteration decode path: every RunReport metric equal to rel 1e-9
-(identical in practice — float summation order in a few reporting
-aggregates is the only permitted difference), identical timelines and
-preemption counts, while processing strictly fewer engine events.
-``fuse_decode=False`` must run exactly today's one-event-per-iteration
-path.
+The decode path fuses K >= 2 iterations into one event whenever the
+batch provably cannot change inside the window.  It must be
+*observationally equivalent* to the per-iteration scalar loop, whose
+outputs are frozen in ``tests/decode_oracle.py``: every RunReport
+metric to rel 1e-9, identical timelines, preemption counts and
+per-token traces, while processing fewer engine events.
 """
 
 import pytest
 
 from repro.experiments.systems import build_system
-from repro.workload.request import Request, clone_requests
-
-METRIC_KEYS = (
-    "n_requests", "n_finished", "makespan", "total_tokens", "throughput",
-    "effective_tokens", "effective_throughput", "qos", "ttft_mean",
-    "ttft_p50", "ttft_p99", "stall_total", "stall_mean", "preemptions",
-)
+from repro.workload.request import RequestState, clone_requests
+from tests import decode_oracle as oracle
 
 
-def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
-    return [
-        Request(req_id=i, arrival_time=start, prompt_len=prompt,
-                output_len=output, rate=rate)
-        for i in range(n)
-    ]
-
-
-def run_system(name, requests, fuse, horizon=10_000.0, **kwargs):
-    system = build_system(name, fuse_decode=fuse, **kwargs)
+def run_system(name, requests, horizon=10_000.0, **kwargs):
+    system = build_system(name, **kwargs)
     system.submit(clone_requests(requests))
     system.run(until=horizon)
     return system
 
 
-def assert_parity(report_off, report_on):
-    for key in METRIC_KEYS:
-        off, on = getattr(report_off, key), getattr(report_on, key)
-        assert on == pytest.approx(off, rel=1e-9, abs=1e-9), key
-    assert report_on.timeline == report_off.timeline
-
-
 class TestWindowFormation:
     def test_windows_form_and_events_drop(self):
-        requests = burst(8, output=192)
-        kwargs = dict(hardware="h200", model="llama3-8b",
-                      mem_frac=0.1, max_batch=16)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
-        stats = on.report().executor_stats
+        system = run_system("tokenflow", oracle.burst(8, output=192),
+                            hardware="h200", model="llama3-8b",
+                            mem_frac=0.1, max_batch=16)
+        stats = system.report().executor_stats
         assert stats["fused_windows"] > 0
         assert stats["fused_iterations"] > stats["fused_windows"]
-        assert on.engine.events_processed < off.engine.events_processed
-        assert_parity(off.report(), on.report())
-
-    def test_off_switch_stays_per_iteration(self):
-        requests = burst(4)
-        system = run_system("tokenflow", requests, fuse=False,
-                            hardware="h200", mem_frac=0.1, max_batch=8)
-        stats = system.report().executor_stats
-        assert stats["fused_windows"] == 0
-        assert stats["fused_iterations"] == 0
+        observed = oracle.check("windows")
+        assert observed["events"] < oracle.goldens()["windows"]["events"]
 
     def test_iteration_accounting_matches(self):
-        requests = burst(6, output=128)
-        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
-        s_off, s_on = off.report().executor_stats, on.report().executor_stats
-        for key in ("prefill_iterations", "decode_iterations",
-                    "prefill_tokens", "decode_tokens"):
-            assert s_on[key] == s_off[key], key
-        assert s_on["fused_iterations"] <= s_on["decode_iterations"]
+        system = run_system("tokenflow", oracle.burst(6, output=128),
+                            hardware="h200", mem_frac=0.1, max_batch=8)
+        stats = system.report().executor_stats
+        assert 0 < stats["fused_iterations"] <= stats["decode_iterations"]
+        oracle.check("accounting")
 
 
 class TestParityAcrossSystems:
-    @pytest.mark.parametrize(
-        "name", ["sglang", "sglang-chunked", "andes", "mlfq", "tokenflow"]
-    )
+    @pytest.mark.parametrize("name", oracle.MEMORY_PRESSURE_SYSTEMS)
     def test_memory_pressure_parity(self, name):
         # The golden scenario's shape: a burst that forces admission
         # control, preemption, and resumption under a tiny KV pool.
-        requests = burst(16, prompt=96, output=64)
-        kwargs = dict(hardware="h200", model="llama3-8b",
-                      mem_frac=0.01, max_batch=8)
-        off = run_system(name, requests, fuse=False, **kwargs)
-        on = run_system(name, requests, fuse=True, **kwargs)
-        assert_parity(off.report(), on.report())
+        oracle.check(f"pressure:{name}")
 
-    @pytest.mark.parametrize(
-        "name",
-        ["tokenflow-no-offload", "tokenflow-no-writethrough",
-         "tokenflow-no-overlap"],
-    )
+    @pytest.mark.parametrize("name", oracle.ABLATION_SYSTEMS)
     def test_ablation_parity(self, name):
-        requests = burst(12, prompt=96, output=64)
-        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
-        off = run_system(name, requests, fuse=False, **kwargs)
-        on = run_system(name, requests, fuse=True, **kwargs)
-        assert_parity(off.report(), on.report())
+        oracle.check(f"ablation:{name}")
 
 
 class TestParityEdgeCases:
     def test_token_traces_bit_identical(self):
-        requests = burst(4, output=64)
-        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8,
-                      record_token_traces=True)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
-        for req_id in range(4):
-            b_off = off.tracker.get(req_id).buffer
-            b_on = on.tracker.get(req_id).buffer
-            assert b_on.generation_times == b_off.generation_times
-            assert b_on.consumption_times == b_off.consumption_times
-            assert b_on.occupancy_at_generation == b_off.occupancy_at_generation
-            r_off = off.tracker.get(req_id).request
-            r_on = on.tracker.get(req_id).request
-            assert r_on.token_times == r_off.token_times
+        oracle.check("token-traces")
 
     def test_cancellation_parity(self):
-        # Cancels are pre-scheduled engine events, so the fusion
+        # Cancels are pre-scheduled engine events, so the window
         # horizon must stop windows strictly before them.
-        requests = burst(6, output=256)
-        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-
-        def run(fuse):
-            system = build_system("tokenflow", fuse_decode=fuse, **kwargs)
-            system.submit(clone_requests(requests))
-            system.cancel_at(2, 0.45)
-            system.cancel_at(5, 0.731)
-            system.run(until=10_000.0)
-            return system
-
-        off, on = run(False), run(True)
-        r_off, r_on = off.report(), on.report()
-        assert r_on.total_tokens == r_off.total_tokens
-        for key in ("throughput", "qos", "stall_total", "preemptions"):
-            assert getattr(r_on, key) == pytest.approx(
-                getattr(r_off, key), rel=1e-9, abs=1e-9
-            ), key
-        cancelled = on.tracker.get(2).request
-        assert cancelled.generated == off.tracker.get(2).request.generated
+        oracle.check("cancel")
 
     def test_in_flight_transfer_blocks_fusion(self):
         # A d2h transfer occupying the link past the window (an
-        # eviction in flight) must bypass fusion even when the dirty
+        # eviction in flight) must stop fusion even when the dirty
         # backlog is empty: the per-iteration drains inside such a
         # window find zero idle budget and sync *nothing*, so
-        # replicating uniform drains would diverge cpu-side KV state
-        # (host copies advancing that the real path leaves dirty) and
-        # the write-through accounting.  The run is stepped so the
-        # divergence would be visible mid-busy-window, not only in the
-        # end-of-run totals (which reconverge once the link frees).
-        requests = burst(4, output=192)
-        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-
-        def run(fuse):
-            system = build_system("tokenflow", fuse_decode=fuse, **kwargs)
-            kv = system.kv
-            orig_drain = kv.drain_writes
-            state = {"done": False}
-
-            def drain_then_inject(now, horizon, priority=None):
-                synced = orig_drain(now, horizon, priority=priority)
-                # Deterministic trigger, identical in both runs: the
-                # first fully-synced drain past t=0.3 is followed by a
-                # long eviction-style transfer (completion scheduled as
-                # an event, like HierarchicalKVManager.preempt does).
-                if not state["done"] and now > 0.3 and not kv._dirty:
-                    state["done"] = True
-                    job = kv.link.d2h.submit(20e9, now)
-                    system.engine.call_at(
-                        job.end, lambda: None, label="evict-done:test"
-                    )
-                return synced
-
-            kv.drain_writes = drain_then_inject
-            system.submit(clone_requests(requests))
-            cpu_series = []
-            t = 0.0
-            while system.unfinished and t < 10_000.0:
-                t += 0.05
-                system.run(until=t)
-                cpu_series.append(
-                    sorted(
-                        (rid, kv.record(rid).cpu_tokens)
-                        for rid in kv.resident_requests()
-                    )
-                )
-            system.run(until=10_000.0)
-            assert state["done"], "injection never triggered"
-            return system, cpu_series
-
-        (off, series_off), (on, series_on) = run(False), run(True)
-        # Host-copy state must match at every sampled instant — with
-        # the in-flight-transfer gate missing, the fused run's cpu
-        # copies advance through the busy window while the real drains
-        # sync nothing.
-        assert series_on == series_off
-        r_off, r_on = off.report(), on.report()
-        assert_parity(r_off, r_on)
-        assert r_on.kv_stats["write_through_bytes"] == pytest.approx(
-            r_off.kv_stats["write_through_bytes"], rel=1e-9
-        )
+        # replicating uniform drains would advance host copies the
+        # real path leaves dirty.  The run is stepped every 0.05 s so
+        # a divergence shows mid-busy-window in the host-copy series,
+        # not only in the end-of-run totals (which reconverge once the
+        # link frees).
+        oracle.check("in-flight-transfer")
 
     def test_external_cancel_while_window_pending(self):
         # ServingSystem.cancel() is a public synchronous call: between
         # stepped run() invocations it can remove a batch member while
-        # a fused window's completion event is still pending (no
-        # unfused analogue exists — the window is committed).  The
+        # a fused window's completion event is still pending.  The
         # completion must skip the departed request like
         # complete_decode does, not crash on its released KV record,
         # and the cancelled request must receive no further tokens.
-        from repro.workload.request import RequestState
-
-        def drive(fuse):
-            requests = burst(4, output=128)
-            system = build_system("sglang", hardware="h200", mem_frac=0.1,
-                                  max_batch=8, fuse_decode=fuse)
-            system.submit(clone_requests(requests))
-            cancelled_at = None
-            for _ in range(200_000):
-                system.run(until=10_000.0, max_events=1)
-                if cancelled_at is None and 2 in system.tracker:
-                    req = system.tracker.get(2).request
-                    if (system._busy and req.state is RequestState.RUNNING
-                            and req.generated >= 1):
-                        system.cancel(2)
-                        cancelled_at = req.generated
-                if not system.unfinished:
-                    break
-            return system, cancelled_at
-
-        for fuse in (False, True):
-            system, cancelled_at = drive(fuse)
-            assert cancelled_at is not None, "cancel never triggered"
-            assert system.unfinished == 0
-            report = system.report()
-            assert report.n_finished == 3
-            # Tokens already streamed stay; nothing lands after cancel.
-            assert system.tracker.get(2).request.generated == cancelled_at
-            survivors = [system.tracker.get(rid).request for rid in (0, 1, 3)]
-            assert all(r.generated == r.output_len for r in survivors)
+        system = build_system("sglang", hardware="h200", mem_frac=0.1,
+                              max_batch=8)
+        system.submit(clone_requests(oracle.burst(4, output=128)))
+        cancelled_at = None
+        for _ in range(200_000):
+            system.run(until=10_000.0, max_events=1)
+            if cancelled_at is None and 2 in system.tracker:
+                req = system.tracker.get(2).request
+                if (system._busy and req.state is RequestState.RUNNING
+                        and req.generated >= 1):
+                    system.cancel(2)
+                    cancelled_at = req.generated
+            if not system.unfinished:
+                break
+        assert cancelled_at is not None, "cancel never triggered"
+        assert system.unfinished == 0
+        assert system.report().n_finished == 3
+        # Tokens already streamed stay; nothing lands after cancel.
+        assert system.tracker.get(2).request.generated == cancelled_at
+        survivors = [system.tracker.get(rid).request for rid in (0, 1, 3)]
+        assert all(r.generated == r.output_len for r in survivors)
 
     def test_until_stepping_parity(self):
         # Driving the engine in run(until=...) increments must match a
         # single drain: windows cap at the run bound so no iteration
         # completing after `until` is applied early.
-        requests = burst(6, output=128)
-        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-
-        one_shot = run_system("tokenflow", requests, fuse=True, **kwargs)
-
-        stepped = build_system("tokenflow", fuse_decode=True, **kwargs)
-        stepped.submit(clone_requests(requests))
-        t = 0.0
-        while stepped.unfinished and t < 10_000.0:
-            t += 0.37
-            stepped.run(until=t)
-        stepped.run(until=10_000.0)
-
-        unfused = run_system("tokenflow", requests, fuse=False, **kwargs)
-        assert_parity(unfused.report(), one_shot.report())
-        assert_parity(unfused.report(), stepped.report())
+        oracle.check("accounting")
+        oracle.check("until-stepping")

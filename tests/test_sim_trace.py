@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.baselines import SGLangScheduler
+from repro.scenarios import build_run, get_scenario
 from repro.serving.config import ServingConfig
+from repro.serving.metrics import report_fingerprint
 from repro.serving.server import ServingSystem
 from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request
@@ -93,3 +95,25 @@ class TestServingIntegration:
                                output_len=8, rate=10.0)])
         system.run(until=100.0)
         assert system.unfinished == 0
+
+    def test_tracing_changes_nothing(self):
+        # A recorder observes the same decode path an untraced run
+        # takes: fused windows included, bit-identical report.
+        def run(tracer):
+            scenario = build_run(get_scenario("table1-h200-a", scale=0.1))
+            scenario.target.tracer = tracer
+            return scenario.execute()
+
+        tracer = TraceRecorder()
+        plain, traced = run(None), run(tracer)
+        assert report_fingerprint(traced) == report_fingerprint(plain)
+        assert traced.timeline == plain.timeline
+        assert traced.executor_stats == plain.executor_stats
+        stats = traced.executor_stats
+        assert stats["fused_windows"] > 0
+        starts = tracer.by_event("decode_start")
+        single_steps = stats["decode_iterations"] - stats["fused_iterations"]
+        assert len(starts) == stats["fused_windows"] + single_steps
+        assert (sum(r.fields["iterations"] for r in starts)
+                == stats["decode_iterations"])
+        assert all(r.fields["duration"] > 0 for r in starts)
