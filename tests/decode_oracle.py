@@ -15,9 +15,18 @@ against them:
   traces and stepped series exactly;
 * engine events at most the oracle's (fusion only removes events).
 
+The ``cluster:`` cases freeze the multi-replica plane the same way:
+every built-in router on a direct-API request set (one run cut at a
+horizon), and the registry cluster scenarios × routers × seeds.  On
+top of the report fields they pin each replica's placement count, a
+digest of the request -> replica map and the unfinished count.
+
 Regenerate after an intentional behaviour change with::
 
     PYTHONPATH=src python -m tests.decode_oracle --write
+
+``--only PREFIX`` recomputes just the cases whose names start with
+``PREFIX`` and keeps every other golden line byte-for-byte.
 
 The test modules pick cases by name: the fast subset runs in the
 not-slow lane, the full sweep is marked ``slow``.
@@ -35,8 +44,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.systems import build_system
+from repro.experiments.systems import SchedulerRecipe, build_system
 from repro.scenarios import build_run, get_scenario
+from repro.serving import ServingCluster
 from repro.workload.request import Request, clone_requests
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "decode_oracle.json"
@@ -86,12 +96,39 @@ ABLATION_SYSTEMS = ("tokenflow-no-offload", "tokenflow-no-writethrough",
                     "tokenflow-no-overlap")
 # Seeded stand-ins for the randomised workloads: two disjoint sets.
 RANDOM_SEEDS = {"fusion": range(0, 12), "vectorize": range(100, 112)}
+CLUSTER_ROUTERS = ("buffer_aware", "least_loaded", "least_queued",
+                   "round_robin", "session_affinity")
+# Registry cluster scenarios at scales that keep a router × seed sweep
+# small (the soak scenario runs 64 replicas, so it gets the tiniest
+# slice of its workload).
+CLUSTER_SCENARIOS = {
+    "bursty-sessions": 0.25,
+    "cluster-burst-4x": 0.25,
+    "cluster-soak-64x": 0.02,
+}
+# Strands roughly half of the direct-API arrivals.
+CLUSTER_HORIZON = 0.03 * 24
 
 
 def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
     return [
         Request(req_id=i, arrival_time=start, prompt_len=prompt,
                 output_len=output, rate=rate)
+        for i in range(n)
+    ]
+
+
+def cluster_requests(n=48):
+    """Direct-API cluster arrivals, already in arrival order."""
+    return [
+        Request(
+            req_id=i,
+            arrival_time=0.03 * i,
+            prompt_len=64 + (i * 13) % 96,
+            output_len=32 + (i * 7) % 64,
+            rate=20.0,
+            session_id=i % 5,
+        )
         for i in range(n)
     ]
 
@@ -150,6 +187,20 @@ def observe_report(report, engine=None) -> dict:
     return obs
 
 
+def placements_digest(placements) -> str:
+    text = ";".join(f"{rid},{idx}" for rid, idx in sorted(placements.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def observe_cluster(cluster, report) -> dict:
+    """:func:`observe_report` of a cluster run plus its routing record."""
+    obs = observe_report(report, cluster.engine)
+    obs["placement_counts"] = cluster.placement_counts()
+    obs["placements"] = placements_digest(cluster.placements)
+    obs["unfinished"] = cluster.unfinished
+    return obs
+
+
 def cell(name, scale, seed=0) -> str:
     """Case name of one registry cell."""
     return f"cell:{name}:{scale}:{seed}"
@@ -158,6 +209,23 @@ def cell(name, scale, seed=0) -> str:
 def run_scenario(name, scale, seed=0, **overrides) -> dict:
     run = build_run(get_scenario(name, scale=scale, seed=seed, **overrides))
     return observe_report(run.execute(), run.target.engine)
+
+
+def _cluster_api(router, until=None):
+    """Four replicas behind ``router`` on :func:`cluster_requests`."""
+    cluster = ServingCluster.homogeneous(
+        4, SchedulerRecipe("tokenflow"), router=router,
+        mem_frac=0.02, max_batch=16,
+    )
+    cluster.submit(cluster_requests())
+    cluster.run(until=until)
+    return observe_cluster(cluster, cluster.report())
+
+
+def _cluster_scenario(name, scale, router, seed):
+    run = build_run(get_scenario(name, scale=scale, seed=seed, router=router))
+    report = run.execute(streamed=False)
+    return observe_cluster(run.target, report)
 
 
 def _system(name, requests, cancels=(), **kwargs):
@@ -272,6 +340,16 @@ def _cases() -> dict:
             cases[f"random:{group}:{seed}"] = functools.partial(
                 _system, name, requests, hardware="h200",
                 model="llama3-8b", mem_frac=mem_frac, max_batch=6)
+    for router in CLUSTER_ROUTERS:
+        cases[f"cluster:api:{router}"] = functools.partial(
+            _cluster_api, router)
+        for name, scale in CLUSTER_SCENARIOS.items():
+            for seed in (0, 1):
+                cases[f"cluster:{name}:{scale}:{router}:{seed}"] = (
+                    functools.partial(
+                        _cluster_scenario, name, scale, router, seed))
+    cases[f"cluster:api:least_loaded:until={CLUSTER_HORIZON}"] = (
+        functools.partial(_cluster_api, "least_loaded", CLUSTER_HORIZON))
     return cases
 
 
@@ -332,12 +410,23 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="run every case and write the golden file")
     parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
+    parser.add_argument("--only", metavar="PREFIX",
+                        help="recompute only the cases named PREFIX...; "
+                             "keep every other golden line as it is")
     args = parser.parse_args(argv)
     if not args.write:
         parser.error("nothing to do (pass --write)")
+    kept = {}
+    if args.only is not None and args.out.exists():
+        for line in args.out.read_text().splitlines()[1:-1]:
+            line = line.rstrip(",")
+            kept[json.loads(line.split(": ", 1)[0])] = line
     # One case per line keeps regeneration diffs readable.
-    lines = [f"{json.dumps(case)}: {json.dumps(observe(case), sort_keys=True)}"
-             for case in sorted(CASES)]
+    lines = [
+        kept[case] if case in kept and not case.startswith(args.only)
+        else f"{json.dumps(case)}: {json.dumps(observe(case), sort_keys=True)}"
+        for case in sorted(CASES)
+    ]
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} cases to {args.out}")
