@@ -9,9 +9,16 @@
 #                          tests, including the fast subset of the
 #                          golden decode suite — tests/decode_oracle.py
 #                          cases run by tests/test_serving_fusion.py
-#                          and tests/test_serving_vectorize.py), plus a
+#                          and tests/test_serving_vectorize.py — and
+#                          the cluster goldens checked at every shard
+#                          count, transport and intake by
+#                          tests/test_serving_sharding.py), plus a
 #                          2-worker `repro matrix` smoke cell;
 #                          targets < 60 s
+#
+# Each lane's pytest runs under `timeout` (15 min fast, 60 min full):
+# a wedged shard gather fails the lane instead of holding the runner
+# for the gather's own 600 s ceiling in every test that hits it.
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -31,14 +38,17 @@ done
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export REPRO_PERF_NO_WALL_GATE=1
+FAST_TIMEOUT=15m
+FULL_TIMEOUT=60m
 
 # Capture pytest's status explicitly and exit with it: `set -e` must
 # not be able to swallow or reinterpret the suite's result, no matter
 # what trailing steps are added after this block.
 rc=0
 if [[ "$FAST" -eq 1 ]]; then
-  echo "== fast lane: pytest -m 'not slow' (incl. golden decode suite) =="
-  python -m pytest -x -q -m "not slow" || rc=$?
+  echo "== fast lane: pytest -m 'not slow' (incl. golden decode and cluster suites) =="
+  timeout --kill-after=30s "$FAST_TIMEOUT" \
+    python -m pytest -x -q -m "not slow" || rc=$?
   if [[ "$rc" -eq 0 ]]; then
     # Orchestrator smoke: one tiny scenario cell across 2 worker
     # processes, uncached, so a broken pool/pickling path fails fast.
@@ -64,10 +74,11 @@ if [[ "$FAST" -eq 1 ]]; then
   fi
 else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
-  python -m pytest -x -q || rc=$?
+  timeout --kill-after=30s "$FULL_TIMEOUT" python -m pytest -x -q || rc=$?
 fi
 
 if [[ "$rc" -ne 0 ]]; then
+  # 124: the lane's timeout fired (137 if it had to kill).
   echo "== CI lane FAILED (pytest exit $rc) =="
   exit "$rc"
 fi

@@ -94,8 +94,8 @@ def pool_workers() -> int:
 #
 # Manager-queue puts pay one proxy round-trip (pickle + socket) each.
 # Protocol steps that emit several messages to the same worker
-# back-to-back (a sharded coordination round flushes buffered
-# placements and then pauses, in one breath) fold them into a single
+# back-to-back (a coordination round flushes buffered placements and
+# then asks for metrics, in one breath) fold them into a single
 # envelope so the queue is touched once per worker per round.
 
 BATCH_KIND = "batch"

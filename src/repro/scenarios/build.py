@@ -31,7 +31,7 @@ class ScenarioRun:
     Attributes:
         spec: the scenario that produced this run.
         target: the built :class:`ServingSystem` (``replicas == 1``) or
-            :class:`ServingCluster`.
+            :class:`ServingCluster` (``replicas > 1``).
         requests: the materialised workload (cloned at execute time, so
             one :class:`ScenarioRun` template's requests can seed
             several runs), or ``None`` for stream-native scenarios —
@@ -45,9 +45,7 @@ class ScenarioRun:
 
     @property
     def is_cluster(self) -> bool:
-        from repro.serving.shard import ShardedServingCluster
-
-        return isinstance(self.target, (ServingCluster, ShardedServingCluster))
+        return isinstance(self.target, ServingCluster)
 
     def execute(self, streamed: Optional[bool] = None) -> Union[RunReport, ClusterReport]:
         """Run the workload, drain the engine, and report.
@@ -154,10 +152,9 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
         for _ in range(spec.replicas)
     ]
 
-    # A picklable factory (not a closure): the sharded cluster ships
-    # it to worker processes, and the classic cluster calls it the
-    # same way — each instance gets a fresh scheduler stamped with the
-    # experiment's system name.
+    # A picklable factory (not a closure): the cluster ships it to
+    # shard worker processes — each instance gets a fresh scheduler
+    # stamped with the experiment's system name.
     scheduler_factory = SchedulerRecipe(spec.system, spec.tokenflow_params)
 
     # Router names resolve to a fresh instance inside the cluster; a
@@ -165,13 +162,7 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
     # counters, sticky session maps) never leaks between runs of the
     # same spec — repeated builds stay independent and deterministic.
     router = spec.router if isinstance(spec.router, str) else copy.deepcopy(spec.router)
-    if spec.shards > 1:
-        from repro.serving.shard import ShardedServingCluster
-
-        cluster = ShardedServingCluster(
-            configs, scheduler_factory, router=router, shards=spec.shards,
-            speculation=spec.speculation,
-        )
-        return ScenarioRun(spec=spec, target=cluster, requests=requests)
-    cluster = ServingCluster(configs, scheduler_factory, router=router)
+    cluster = ServingCluster(
+        configs, scheduler_factory, router=router, shards=spec.shards
+    )
     return ScenarioRun(spec=spec, target=cluster, requests=requests)

@@ -38,17 +38,10 @@ class ScenarioSpec:
             :class:`~repro.serving.cluster.ServingCluster`.
         router: cluster routing policy name (or Router instance) —
             ignored when ``replicas == 1``.
-        shards: shard worker processes for cluster runs; >1 builds a
-            :class:`~repro.serving.shard.ShardedServingCluster`
-            (bit-identical reports, parallel replica simulation).
+        shards: how many shards the cluster splits its replicas into.
+            1 runs one shard in-process; >1 runs one worker process
+            per shard (parallel replica simulation, the same report).
             Clamped to ``replicas``; ignored when ``replicas == 1``.
-        speculation: speculative dispatch in sharded runs (see
-            :class:`~repro.serving.shard.ShardedServingCluster`):
-            trajectory-snapshot mirroring that collapses stateful-router
-            coordination rounds.  ``False`` forces the pause-round
-            protocol on every stateful dispatch (the pre-speculation
-            behaviour); placements and reports are bit-identical either
-            way.  Ignored when ``shards == 1``.
         seed: root RNG seed for the workload.
         scale: workload scale factor (scenario builders shrink crowd
             sizes / horizons proportionally, like the experiments).
@@ -87,7 +80,6 @@ class ScenarioSpec:
     replicas: int = 1
     router: Union[str, Router] = "least_loaded"
     shards: int = 1
-    speculation: bool = True
     seed: int = 0
     scale: float = 1.0
     horizon: float = 50_000.0

@@ -24,7 +24,7 @@ index, so identical scenario+seed runs place identically.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Type, Union
 
 from repro.workload.request import RequestState
 
@@ -71,46 +71,31 @@ class Router(abc.ABC):
     instance is built per run, so repeated runs of one scenario are
     independent and deterministic.
 
-    Policies that can run against a *sharded* cluster — where instances
-    live in other processes — additionally split :meth:`select` into a
-    per-instance measurement (:meth:`instance_metrics`, computed where
-    the instance lives, returning something picklable) and a pure
-    decision over the gathered measurements
-    (:meth:`select_from_metrics`, run on the coordinator).  The
-    built-in policies implement :meth:`select` *via* that split, so the
-    single-process and sharded paths execute the same comparison code
-    on the same float values.  Subclasses that only override
-    :meth:`select` keep working on single-process clusters; they must
-    set :attr:`shardable` to ``True`` (and implement the split) to opt
-    into sharded execution.
+    Replicas live in cluster shards, possibly in other processes, so a
+    policy is split into a per-instance measurement
+    (:meth:`instance_metrics`, computed where the instance lives,
+    returning something picklable) and a pure decision over the
+    gathered measurements (:meth:`select_from_metrics`, run on the
+    cluster coordinator).
     """
 
     name: str = "base"
 
-    #: Whether this policy supports the metrics/selection split that
-    #: sharded execution requires.  Built-in policies set this True.
-    shardable: bool = False
-
-    #: Whether this policy additionally supports *speculative dispatch*
-    #: in the sharded plane: trajectory snapshots
-    #: (:meth:`instance_snapshot`) whose declared staleness horizon
-    #: proves the mirrored metric exact, so the coordinator can resolve
-    #: whole epochs of arrivals without a coordination round.  A policy
-    #: whose metric can move on events the snapshot cannot bound (e.g.
-    #: ``buffer_aware``'s continuous-time deficit, ``least_queued``'s
-    #: prefill-completion decrements) must leave this False and stays
-    #: on the always-correct pause-round path.
+    #: Whether this policy supports *speculative dispatch*: trajectory
+    #: snapshots (:meth:`instance_snapshot`) whose declared staleness
+    #: horizon proves the mirrored metric exact, so the coordinator can
+    #: resolve whole epochs of arrivals without a coordination round.
+    #: A policy whose metric can move on events the snapshot cannot
+    #: bound (e.g. ``buffer_aware``'s continuous-time deficit,
+    #: ``least_queued``'s prefill-completion decrements) must leave
+    #: this False and pays one round per stateful dispatch.
     speculative: bool = False
-
-    @abc.abstractmethod
-    def select(self, instances: Sequence, request) -> int:
-        """Return the index in ``instances`` to place ``request`` on."""
 
     def needs_state(self, request) -> bool:
         """Whether placing ``request`` requires fresh instance metrics.
 
         Policies that decide without looking at the instances (stripe
-        counters, sticky-map hits) return ``False``; the sharded
+        counters, sticky-map hits) return ``False``; the cluster
         coordinator then skips the metric-gathering round entirely —
         the lever that lets stateless policies batch arbitrarily many
         dispatches into one shard message.
@@ -118,38 +103,30 @@ class Router(abc.ABC):
         return True
 
     def instance_metrics(self, instance, request):
-        """Measure one instance for placing ``request`` (picklable)."""
+        """Measure one instance for placing ``request`` (picklable).
+
+        Only called when :meth:`needs_state` says so; a policy that
+        never needs state need not implement it.
+        """
         raise NotImplementedError(
-            f"router {self.name!r} does not implement the sharded "
-            f"metrics/selection split"
+            f"router {self.name!r} does not measure instances"
         )
 
+    @abc.abstractmethod
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
         """Pick an index in ``range(n)`` from gathered ``metrics``.
 
         ``metrics[i]`` is :meth:`instance_metrics` for instance ``i``
         (``None`` when :meth:`needs_state` said no state was needed).
-        This is the only place a shardable policy may mutate its own
-        state, so replaying the same dispatch sequence reproduces the
-        same placements regardless of where metrics were computed.
+        This is the only place a policy may mutate its own state, so
+        replaying the same dispatch sequence reproduces the same
+        placements regardless of where metrics were computed.
         """
-        raise NotImplementedError(
-            f"router {self.name!r} does not implement the sharded "
-            f"metrics/selection split"
-        )
 
-    def _select_via_metrics(self, instances: Sequence, request) -> int:
-        """Shared :meth:`select` body for split-capable policies."""
-        if self.needs_state(request):
-            metrics = [self.instance_metrics(inst, request) for inst in instances]
-        else:
-            metrics = None
-        return self.select_from_metrics(len(instances), metrics, request)
-
-    # --- speculative dispatch (sharded plane) -----------------------------
+    # --- speculative dispatch ---------------------------------------------
     #
     # A *trajectory snapshot* is a small picklable record, taken where
-    # the instance lives at a pause instant, that lets the coordinator
+    # the instance lives at a round instant, that lets the coordinator
     # evolve the routing metric forward in simulated time without
     # talking to the shard again: the snapshot carries the metric's
     # current value, the one already-scheduled completion event that
@@ -226,7 +203,6 @@ class RoundRobinRouter(Router):
     """Arrival-order striping across instances."""
 
     name = "round_robin"
-    shardable = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -239,8 +215,6 @@ class RoundRobinRouter(Router):
         self._next = (idx + 1) % n
         return idx
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
 
 @register_router
@@ -261,7 +235,6 @@ class LeastLoadedRouter(Router):
     """
 
     name = "least_loaded"
-    shardable = True
     speculative = True
 
     def instance_metrics(self, instance, request) -> int:
@@ -273,8 +246,6 @@ class LeastLoadedRouter(Router):
     def peek_from_metrics(self, n: int, metrics: List, request) -> int:
         return min(range(n), key=lambda i: metrics[i])
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
     def instance_snapshot(self, instance, request):
         t = instance.engine.now()
@@ -348,7 +319,6 @@ class LeastQueuedRouter(Router):
     """Shortest waiting + prefill queue at arrival time."""
 
     name = "least_queued"
-    shardable = True
 
     def instance_metrics(self, instance, request) -> int:
         return len(instance.waiting) + len(instance.prefill_queue)
@@ -356,8 +326,6 @@ class LeastQueuedRouter(Router):
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
         return min(range(n), key=lambda i: metrics[i])
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
 
 @register_router
@@ -374,7 +342,6 @@ class BufferAwareRouter(Router):
     """
 
     name = "buffer_aware"
-    shardable = True
 
     def __init__(self, target_buffer_s: float = 1.0) -> None:
         if target_buffer_s <= 0:
@@ -411,8 +378,6 @@ class BufferAwareRouter(Router):
             key=lambda i: (metrics[i][0], metrics[i][1], i),
         )
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
 
 @register_router
@@ -428,15 +393,12 @@ class SessionAffinityRouter(Router):
     """
 
     name = "session_affinity"
-    shardable = True
 
     def __init__(self, base: Union[str, Router] = "least_loaded") -> None:
         self.base = make_router(base)
-        # Sharded execution delegates the metric split to the base
-        # policy, so stickiness is only shardable if the base is; the
-        # same holds for the speculative-dispatch snapshot protocol
-        # (sticky hits are stateless and simply fold into the mirror).
-        self.shardable = self.base.shardable
+        # The metric split and the speculative-dispatch snapshot
+        # protocol are delegated to the base policy (sticky hits are
+        # stateless and simply fold into the mirror).
         self.speculative = self.base.speculative
         self.assignments: Dict[int, int] = {}
 
@@ -484,5 +446,3 @@ class SessionAffinityRouter(Router):
     def fold_snapshot(self, snap, t: float, request) -> None:
         self.base.fold_snapshot(snap, t, request)
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)

@@ -1,79 +1,40 @@
-"""Sharded cluster simulation: conservative time-window parallelism.
+"""Shard side of the cluster plane: hosts, protocol and transports.
 
-A :class:`~repro.serving.cluster.ServingCluster` advances N replicas
-on one event loop in one process.  This module splits the same
-cluster across K shard workers, each owning a contiguous slice of the
-replicas on its own :class:`~repro.sim.engine.SimEngine`, and drives
-them with the conservative-window discipline of parallel discrete-event
-simulation:
+:class:`~repro.serving.cluster.ServingCluster` splits its replicas
+into K contiguous shards.  Each shard is a :class:`ShardHost` — a
+slice of replicas on a private :class:`~repro.sim.engine.SimEngine`
+— that the coordinator drives with four messages:
 
-* Replicas never interact except **at dispatch instants**, where the
-  router reads instance state.  Between consecutive dispatch times
-  every replica's evolution is fully determined, so a shard may run
-  ahead to the next dispatch instant without any risk of a causality
-  violation — the dispatch "ladder" (the global sequence of arrival
-  times) is each shard's lookahead bound, surfaced to the fusion
-  plane through the same :class:`~repro.sim.engine.ScopedEngine`
-  external horizon the single-process cluster uses.  Identical
-  horizons mean identical fused decode windows, which is what makes
-  the sharded run *bit-identical*, executor stats included.
-* At a dispatch that needs instance state (``least_loaded``,
-  ``least_queued``, ``buffer_aware``, sticky misses), the coordinator
-  pauses every shard at that instant, gathers per-instance metrics in
-  global instance order, and runs the router's pure
-  ``select_from_metrics`` decision locally — the only place router
-  state mutates, so placements replay exactly.
-* Dispatches that need no state (``round_robin`` striping,
-  ``session_affinity`` sticky hits) are decided immediately and
-  buffered; whole stretches of them collapse into one ``apply``
-  message per shard, which is what keeps coordination overhead small
-  at soak scale.
-* **Speculative dispatch** (``speculation=True``, the default) extends
-  that cheapness to stateful routers that implement the trajectory
-  snapshot protocol (``Router.speculative`` — ``least_loaded`` and
-  ``session_affinity`` over it).  Pause replies piggyback per-instance
-  *trajectory snapshots*: the metric's value, the one already-scheduled
-  completion event that can change it, and a proven exactness horizon.
-  The coordinator folds every confirmed placement into this mirrored
-  metrics table and resolves whole epochs of arrivals against it — one
-  gather, N selections replayed in arrival order — as long as every
-  instance's horizon covers the arrival; the first arrival past any
-  horizon takes a speculative pick from the stale mirror, then falls
-  back to an authoritative round that validates it (a mismatch is
-  rolled back by re-routing the still-undelivered request before any
-  shard sees it, so shards only ever observe confirmed placements and
-  bit-identity holds by construction).  See ARCHITECTURE.md ("Sharded
-  cluster plane") for the exactness argument.
+* ``apply`` replays routed dispatches ``(time, local_index, request)``;
+* ``round`` advances to a dispatch instant and replies with every
+  replica's routing metric, plus trajectory snapshots when the router
+  is speculative (``Router.speculative``);
+* ``finish`` drains to the run horizon and replies with the reports;
+* ``stop`` ends a worker's loop without finishing (teardown).
 
-State crosses the process boundary as the picklable structures the
-streaming/vectorised planes already produce: ``ServingConfig`` slices
-and a :class:`~repro.experiments.systems.SchedulerRecipe` outbound,
-per-instance ``RunReport`` (sketch-backed at soak scale) inbound.
-Reports aggregate through :func:`repro.serving.metrics.aggregate_reports`
-exactly as the single-process cluster's do.
+Every message also carries the new rungs of the dispatch ladder (the
+global arrival times), the shard's external horizon.
 
-Transports: ``process`` (default) runs each shard as a long-lived
-task on the warm pool from :mod:`repro.orchestration.pool`, talking
-over manager queues; ``inline`` runs the same :class:`ShardHost`
-protocol in-process (set ``REPRO_SHARD_INLINE=1`` or pass
-``transport="inline"``) for debugging and cheap exhaustive parity
-sweeps — the two transports execute identical host code.
+State crosses the process boundary as picklable structures:
+``ServingConfig`` slices and a
+:class:`~repro.experiments.systems.SchedulerRecipe` outbound,
+per-replica ``RunReport`` (sketch-backed at soak scale) inbound.
+
+Transports: ``process`` runs each shard as a long-lived task on the
+warm pool from :mod:`repro.orchestration.pool`, talking over manager
+queues; ``inline`` runs the same hosts in the coordinator's process.
+The two execute identical host code.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-import multiprocessing
-import os
-import queue as queue_mod
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
-from repro.serving.cluster import ClusterReport
-from repro.serving.metrics import aggregate_reports
-from repro.serving.routers import Router, make_router
+from repro.serving.routers import Router
 from repro.serving.server import ServingSystem
 from repro.sim.engine import ScopedEngine, SimEngine
 
@@ -86,6 +47,10 @@ FLUSH_INTERVAL = 1024
 # run wedged (simulation is deterministic; only a dead worker or a
 # broken pool can stall a gather).
 GATHER_TIMEOUT_S = 600.0
+
+# Wall-clock grace for shard workers to leave their loop after "stop"
+# before the warm pool is retired as unusable.
+STOP_TIMEOUT_S = 5.0
 
 
 class ShardHost:
@@ -109,10 +74,8 @@ class ShardHost:
         self.engine = SimEngine()
         # The dispatch ladder: every global dispatch instant the
         # coordinator has discovered, this shard's external horizon.
-        # Entries at or before the clock are spent and lazily dropped,
-        # mirroring ServingCluster._next_dispatch_time exactly.
         self.upcoming: List[float] = []
-        self.router = router  # used for instance_metrics only (pure)
+        self.router = router  # measures replicas only (pure)
         self.instances = [
             ServingSystem(
                 config,
@@ -123,6 +86,12 @@ class ShardHost:
         ]
 
     def _next_dispatch_time(self) -> Optional[float]:
+        """Earliest upcoming dispatch instant (replicas' external horizon).
+
+        Entries at or before the clock are spent — all dispatches at
+        time *t* are applied before any replica event at *t* runs — so
+        they are lazily dropped here.
+        """
         times = self.upcoming
         now = self.engine.now()
         while times and times[0] <= now:
@@ -140,34 +109,28 @@ class ShardHost:
         at the dispatch instant, so the synchronous part of
         ``submit`` (unfinished accounting) lands before any
         same-instant instance event and the admission events it
-        schedules land after them — the (time, seq) order the shared
-        engine produces.
+        schedules land after them.
         """
         for t, local_idx, request in entries:
             self.engine.run_before(t, until=self.horizon)
             self.instances[local_idx].submit([request])
 
-    def pause(self, t: float, request) -> list:
-        """Advance to dispatch instant ``t``; measure every instance."""
-        self.engine.run_before(t, until=self.horizon)
-        return [
-            self.router.instance_metrics(instance, request)
-            for instance in self.instances
-        ]
+    def measure(self, t: float, request):
+        """Advance to dispatch instant ``t``; measure every replica.
 
-    def snap(self, t: float, request):
-        """:meth:`pause` plus trajectory snapshots (speculation rounds).
-
-        The snapshots ride back on the same reply the metrics use —
-        the delta-metrics channel costs no extra messages.
+        Returns ``(metrics, snapshots)``: the router's metric for each
+        replica, and — for a speculative router — each replica's
+        trajectory snapshot, riding on the same reply (``None``
+        otherwise).
         """
         self.engine.run_before(t, until=self.horizon)
-        metrics = []
-        snaps = []
-        for instance in self.instances:
-            metrics.append(self.router.instance_metrics(instance, request))
-            snaps.append(self.router.instance_snapshot(instance, request))
-        return metrics, snaps
+        router = self.router
+        metrics = [router.instance_metrics(instance, request)
+                   for instance in self.instances]
+        if not router.speculative:
+            return metrics, None
+        return metrics, [router.instance_snapshot(instance, request)
+                         for instance in self.instances]
 
     def finish(self):
         """Drain to the run horizon and hand the results back."""
@@ -179,26 +142,21 @@ class ShardHost:
 
 def _in_main_process() -> bool:
     """True unless running inside a forked worker process."""
+    import multiprocessing
+
     return multiprocessing.current_process().name == "MainProcess"
 
 
 def _handle_message(host: ShardHost, msg: tuple):
     """Shared protocol step for both transports; returns the reply."""
     kind = msg[0]
-    if kind == "ladder":
-        host.push_ladder(msg[1])
-        return None
     if kind == "apply":
         host.push_ladder(msg[2])
         host.apply(msg[1])
         return None
-    if kind == "pause":
+    if kind == "round":
         host.push_ladder(msg[3])
-        return ("metrics", host.shard_id, host.pause(msg[1], msg[2]))
-    if kind == "snap":
-        host.push_ladder(msg[3])
-        metrics, snaps = host.snap(msg[1], msg[2])
-        return ("metrics", host.shard_id, metrics, snaps)
+        return ("metrics", host.shard_id, *host.measure(msg[1], msg[2]))
     if kind == "finish":
         host.push_ladder(msg[1])
         unfinished, reports, events = host.finish()
@@ -302,12 +260,14 @@ class _ProcessTransport:
             self.inboxes[shard_id].put(pack_messages(msgs))
 
     def gather(self, n: int) -> list:
+        import queue
+
         replies: list = []
         deadline = time.monotonic() + GATHER_TIMEOUT_S
         while len(replies) < n:
             try:
                 reply = self.outbox.get(timeout=0.25)
-            except queue_mod.Empty:
+            except queue.Empty:
                 self._check_futures()
                 if time.monotonic() > deadline:
                     raise TimeoutError(
@@ -335,373 +295,28 @@ class _ProcessTransport:
                 ) from future.exception()
 
     def close(self) -> None:
-        # Workers exit after "finish"; the pool itself stays warm for
-        # the next run (that reuse is the point of orchestration.pool).
-        pass
+        """Stop every shard loop still running, so the warm pool stays
+        usable for the next run (its reuse is the point of
+        orchestration.pool).
 
-
-class ShardedServingCluster:
-    """Drop-in :class:`ServingCluster` that runs replicas in K shards.
-
-    Same construction surface (``configs`` + ``scheduler_factory`` +
-    ``router``), same run surface (``submit``/``feed`` then
-    ``run(until)`` then ``report()``), same :class:`ClusterReport` —
-    bit-identical to the single-process cluster for every shardable
-    router and any shard count.  Unlike the classic cluster, arrivals
-    are recorded at ``submit``/``feed`` time and all simulation
-    happens inside the single ``run`` call (the coordination loop).
-
-    ``scheduler_factory`` and the workload requests must be picklable
-    for the process transport (use
-    :class:`~repro.experiments.systems.SchedulerRecipe`); the inline
-    transport has no such requirement.
-    """
-
-    def __init__(
-        self,
-        configs: Sequence,
-        scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        router: Optional[Union[str, Router]] = None,
-        shards: int = 2,
-        transport: Optional[str] = None,
-        speculation: bool = True,
-    ) -> None:
-        if not configs:
-            raise ValueError("need at least one instance config")
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.router = make_router(router if router is not None else dispatch)
-        if not self.router.shardable:
-            raise ValueError(
-                f"router {self.router.name!r} does not support sharded "
-                f"execution: it must implement the metrics/selection "
-                f"split (see Router.shardable)"
-            )
-        self.dispatch = self.router.name
-        self.configs = list(configs)
-        n = len(self.configs)
-        # More shards than replicas would leave empty workers; clamp.
-        self.shards = min(shards, n)
-        sizes = [
-            n // self.shards + (1 if s < n % self.shards else 0)
-            for s in range(self.shards)
-        ]
-        starts = [sum(sizes[:s]) for s in range(self.shards)]
-        self._shard_configs = [
-            self.configs[starts[s]:starts[s] + sizes[s]]
-            for s in range(self.shards)
-        ]
-        self._shard_start = starts
-        self._shard_of = [
-            s for s in range(self.shards) for _ in range(sizes[s])
-        ]
-        self.scheduler_factory = scheduler_factory
-        if transport is None:
-            transport = (
-                "inline" if os.environ.get("REPRO_SHARD_INLINE") == "1"
-                else "process"
-            )
-        if transport not in ("process", "inline"):
-            raise ValueError(f"unknown shard transport {transport!r}")
-        self.transport = transport
-        self.placements: dict = {}
-        self._retain_placements = any(
-            config.retain_per_request for config in self.configs
-        )
-        self._placement_counts = [0] * n
-        self._pending: list = []       # submitted, not yet run
-        self._stream = None            # fed, not yet run
-        self._pending_dispatch = 0     # left unrouted at the horizon
-        self._ran = False
-        self._instance_reports: Optional[list] = None
-        self._unfinished_final = 0
-        # Speculative dispatch (trajectory-snapshot mirror) — only
-        # effective for routers that opt in via Router.speculative;
-        # ``speculation=False`` reproduces the pre-speculation protocol
-        # (every stateful dispatch pays a pause round) exactly.
-        self.speculation = bool(speculation)
-        # Coordination accounting (benchmarks read these after run()).
-        self.coordination_rounds = 0
-        self.messages_sent = 0
-        self.speculation_hits = 0
-        self.speculation_misses = 0
-        self.shard_events: List[int] = []
-
-    @classmethod
-    def homogeneous(
-        cls,
-        n_instances: int,
-        scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        router: Optional[Union[str, Router]] = None,
-        shards: int = 2,
-        transport: Optional[str] = None,
-        speculation: bool = True,
-        **config_kwargs,
-    ) -> "ShardedServingCluster":
-        from repro.serving.config import ServingConfig
-
-        if n_instances <= 0:
-            raise ValueError("n_instances must be positive")
-        configs = [ServingConfig(**config_kwargs) for _ in range(n_instances)]
-        return cls(
-            configs, scheduler_factory, dispatch=dispatch, router=router,
-            shards=shards, transport=transport, speculation=speculation,
-        )
-
-    # --- workload intake --------------------------------------------------
-    def submit(self, requests: Sequence) -> None:
-        """Record arrivals; routing happens inside :meth:`run`."""
-        if self._ran:
-            raise RuntimeError("sharded cluster already ran")
-        for request in requests:
-            if request.arrival_time < 0.0:
-                raise ValueError(
-                    f"request {request.req_id} arrives in the past"
-                )
-        self._pending.extend(requests)
-
-    def feed(self, stream, lookahead: int = 1) -> None:
-        """Record a lazy arrival stream; consumed inside :meth:`run`.
-
-        The coordinator pops one request at a time (the streamed-run
-        memory contract), validating arrival order exactly like
-        :func:`~repro.serving.stages.feed_stream_arrivals`.
+        After a clean run every worker has already returned from
+        "finish"; after a failure the surviving workers sit blocked on
+        their inbox and leave on "stop".  A worker that does not leave
+        within ``STOP_TIMEOUT_S`` would pin a pool slot forever, so the
+        pool is retired and the next run forks a fresh one.
         """
-        if self._ran:
-            raise RuntimeError("sharded cluster already ran")
-        if lookahead <= 0:
-            raise ValueError(f"lookahead must be positive, got {lookahead}")
-        if self._stream is not None:
-            raise RuntimeError("cluster already has a pending stream")
-        self._stream = iter(stream)
+        import concurrent.futures
 
-    def _iter_dispatches(self, until: Optional[float]):
-        """Arrival-ordered dispatch sequence, truncated at the horizon.
-
-        Mirrors the classic cluster's event semantics: a submitted
-        request whose arrival falls past ``until`` counts as pending
-        (its dispatch event would never fire); a streamed run stops at
-        the first such pop without materialising the rest.
-        """
-        if self._stream is not None:
-            last = None
-            for request in self._stream:
-                if last is not None and request.arrival_time < last:
-                    raise ValueError(
-                        f"request {request.req_id} arrives in the past "
-                        f"({request.arrival_time} < {last}) — workload "
-                        f"streams must be ordered by arrival time"
-                    )
-                last = request.arrival_time
-                if until is not None and request.arrival_time > until:
-                    self._pending_dispatch += 1
-                    return
-                yield request
-            return
-        # Stable sort: ties keep submission order, matching the shared
-        # engine's (time, seq) dispatch-event order.
-        for request in sorted(self._pending, key=lambda r: r.arrival_time):
-            if until is not None and request.arrival_time > until:
-                self._pending_dispatch += 1
-                continue
-            yield request
-
-    # --- coordination loop ------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        if self._ran:
-            raise RuntimeError("sharded cluster already ran")
-        self._ran = True
-        n = len(self.configs)
-        n_shards = self.shards
-        if self.transport == "inline" or not _in_main_process():
-            # Inside a pool worker (e.g. a `repro matrix --jobs N`
-            # cell) a nested warm pool deadlocks worker shutdown:
-            # multiprocessing's _bootstrap joins all non-daemon
-            # children via util._exit_function BEFORE the nested
-            # executor's threading-atexit shutdown runs, so the
-            # nested workers are never told to exit.  The inline
-            # transport runs the identical host code in-process —
-            # bit-identical results, and no jobs×shards process
-            # oversubscription.
-            transport = _InlineTransport(
-                self._shard_configs, self.scheduler_factory, self.router, until
-            )
-        else:
-            transport = _ProcessTransport(
-                self._shard_configs, self.scheduler_factory, self.router, until
-            )
-
-        ladder: List[float] = []          # every discovered dispatch time
-        sent = [0] * n_shards             # per-shard ladder watermark
-        buffered: List[list] = [[] for _ in range(n_shards)]
-
-        def ladder_delta(s: int) -> list:
-            delta = ladder[sent[s]:]
-            sent[s] = len(ladder)
-            return delta
-
-        def flush(s: int) -> None:
-            if buffered[s]:
-                transport.send(s, ("apply", buffered[s], ladder_delta(s)))
-                self.messages_sent += 1
-                buffered[s] = []
-
-        router = self.router
-        spec_on = self.speculation and router.speculative
-        # The mirrored metrics table: one trajectory snapshot per
-        # instance (global order), refreshed by every round's replies
-        # and folded forward by every confirmed placement.
-        mirror: Optional[list] = None
-
-        since_flush = 0
-        for request in self._iter_dispatches(until):
-            t = request.arrival_time
-            ladder.append(t)
-            if not router.needs_state(request):
-                idx = router.select_from_metrics(n, None, request)
-            elif (
-                mirror is not None
-                and all(router.snapshot_fresh(m, t) for m in mirror)
-            ):
-                # Epoch-batched speculative resolution: every mirror
-                # entry is provably exact at t, so this selection —
-                # replayed against the folding table in arrival order —
-                # is the single-process selection, with zero messages.
-                metrics = [router.snapshot_metric(m, t) for m in mirror]
-                idx = router.select_from_metrics(n, metrics, request)
-                self.speculation_hits += 1
-            else:
-                # Stateful round: every shard advances to t and
-                # reports metrics; selection happens here, in global
-                # instance order, with the exact single-process code.
-                # With speculation on, first take a speculative pick
-                # from the (stale) mirror for the round to validate.
-                spec_idx = None
-                if mirror is not None:
-                    preview = [router.snapshot_metric(m, t) for m in mirror]
-                    spec_idx = router.peek_from_metrics(n, preview, request)
-                kind = "snap" if spec_on else "pause"
-                for s in range(n_shards):
-                    msgs = []
-                    if buffered[s]:
-                        msgs.append(("apply", buffered[s], ladder_delta(s)))
-                        buffered[s] = []
-                        msgs.append((kind, t, request, []))
-                    else:
-                        msgs.append((kind, t, request, ladder_delta(s)))
-                    transport.send_many(s, msgs)
-                    self.messages_sent += len(msgs)
-                replies = transport.gather(n_shards)
-                self.coordination_rounds += 1
-                by_shard = {}
-                for reply in replies:
-                    if reply[0] != "metrics":
-                        raise RuntimeError(
-                            f"shard protocol error: expected metrics, "
-                            f"got {reply[0]!r}"
-                        )
-                    by_shard[reply[1]] = reply
-                metrics = []
-                snaps: list = []
-                for s in range(n_shards):
-                    metrics.extend(by_shard[s][2])
-                    if spec_on:
-                        snaps.extend(by_shard[s][3])
-                if spec_on:
-                    mirror = snaps
-                idx = router.select_from_metrics(n, metrics, request)
-                if spec_idx is not None:
-                    # Validate the speculative pick against the
-                    # authoritative selection.  A miss is repaired
-                    # right here, before any shard-visible effect:
-                    # the request has not been delivered, so the
-                    # rollback is simply routing it to the
-                    # authoritative index instead.
-                    if spec_idx == idx:
-                        self.speculation_hits += 1
-                    else:
-                        self.speculation_misses += 1
-            # Every confirmed placement — speculative, round-resolved,
-            # or stateless — folds into the mirrored table so later
-            # speculative selections see it.
-            if mirror is not None:
-                router.fold_snapshot(mirror[idx], t, request)
-            if self._retain_placements:
-                self.placements[request.req_id] = idx
-            self._placement_counts[idx] += 1
-            s = self._shard_of[idx]
-            buffered[s].append((t, idx - self._shard_start[s], request))
-            since_flush += 1
-            if since_flush >= FLUSH_INTERVAL:
-                for s in range(n_shards):
-                    flush(s)
-                since_flush = 0
-
-        for s in range(n_shards):
-            flush(s)
-            transport.send(s, ("finish", ladder_delta(s)))
-            self.messages_sent += 1
-        replies = transport.gather(n_shards)
-        by_shard = {}
-        for reply in replies:
-            if reply[0] != "done":
-                raise RuntimeError(
-                    f"shard protocol error: expected done, got {reply[0]!r}"
-                )
-            by_shard[reply[1]] = reply
-        reports: list = []
-        unfinished = 0
-        self.shard_events = []
-        for s in range(n_shards):
-            _, _, shard_unfinished, shard_reports, events = by_shard[s]
-            unfinished += shard_unfinished
-            reports.extend(shard_reports)
-            self.shard_events.append(events)
-        self._instance_reports = reports
-        self._unfinished_final = unfinished + self._pending_dispatch
-        self._pending = []
-        self._stream = None
-        transport.close()
-        if until is not None:
-            return until
-        return max(
-            (report.makespan for report in reports if report is not None),
-            default=0.0,
+        live = [s for s, future in enumerate(self.futures) if not future.done()]
+        for s in live:
+            try:
+                self.inboxes[s].put(("stop",))
+            except Exception:
+                pass  # the queue server is gone; the wait below decides
+        _, pending = concurrent.futures.wait(
+            [self.futures[s] for s in live], timeout=STOP_TIMEOUT_S
         )
+        if pending:
+            from repro.orchestration.pool import reset_pool
 
-    # --- reporting --------------------------------------------------------
-    @property
-    def unfinished(self) -> int:
-        if not self._ran:
-            return len(self._pending)
-        return self._unfinished_final
-
-    def report(self) -> ClusterReport:
-        if self._instance_reports is None:
-            raise RuntimeError("run() the sharded cluster before report()")
-        reports = self._instance_reports
-        total = aggregate_reports(reports)
-        return ClusterReport(
-            per_instance=reports,
-            aggregate=total,
-            n_requests=total.n_requests,
-            n_finished=total.n_finished,
-            total_tokens=total.total_tokens,
-            throughput=total.throughput,
-            effective_throughput=total.effective_throughput,
-            qos=total.qos,
-            ttft_mean=total.ttft_mean,
-            ttft_p50=total.ttft_p50,
-            ttft_p99=total.ttft_p99,
-            stall_total=total.stall_total,
-            preemptions=total.preemptions,
-            coordination_rounds=self.coordination_rounds,
-            messages_sent=self.messages_sent,
-            speculation_hits=self.speculation_hits,
-            speculation_misses=self.speculation_misses,
-        )
-
-    def placement_counts(self) -> list:
-        return list(self._placement_counts)
+            reset_pool()

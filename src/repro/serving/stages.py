@@ -36,60 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.server import ServingSystem
 
 
-def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
-    """Schedule a lazy request stream as a self-refilling event chain.
-
-    The one streaming-admission implementation, shared by
-    :meth:`AdmissionStage.feed` (single instance; ``on_request``
-    admits) and :meth:`ServingCluster.feed <repro.serving.cluster.ServingCluster.feed>`
-    (``on_request`` routes).  Each scheduled arrival pops its successor
-    off the stream *before* processing its own request, so
-
-    * at most ``lookahead`` future requests exist in memory, and
-    * the engine's pending-event horizon always contains the next
-      arrival at the instant any work is planned — the fusion plane
-      therefore sizes exactly the windows the materialised submit path
-      produces (streamed and submitted runs are event-for-event
-      identical).
-
-    ``on_pop`` runs once per request at schedule time — both callers
-    use it for their pending-work accounting, so a run truncated at the
-    horizon still reports scheduled-but-unserved requests as
-    unfinished.
-    """
-    if lookahead <= 0:
-        raise ValueError(f"lookahead must be positive, got {lookahead}")
-    iterator = iter(stream)
-
-    def schedule_next() -> bool:
-        request = next(iterator, None)
-        if request is None:
-            return False
-        if request.arrival_time < engine.now():
-            raise ValueError(
-                f"request {request.req_id} arrives in the past "
-                f"({request.arrival_time} < {engine.now()}) — workload "
-                f"streams must be ordered by arrival time"
-            )
-        on_pop(request)
-        engine.call_at(
-            request.arrival_time,
-            lambda r=request: fire(r),
-            label=f"{label}:{request.req_id}",
-        )
-        return True
-
-    def fire(request: Request) -> None:
-        # Refill before processing: planning triggered by this request
-        # must already see the successor arrival on the event horizon.
-        schedule_next()
-        on_request(request)
-
-    for _ in range(lookahead):
-        if not schedule_next():
-            break
-
-
 class AdmissionStage:
     """Arrivals -> tracker/KV registration -> waiting queue, plus the
     scheduler tick clock (the paper's Δt)."""
@@ -128,20 +74,57 @@ class AdmissionStage:
     def feed(self, stream, lookahead: int = 1) -> None:
         """Drive arrivals from a lazy request stream.
 
-        See :func:`feed_stream_arrivals` for the self-refilling chain
-        and its parity guarantees.  ``lookahead`` > 1 simply primes
-        that many arrivals up front; ordering is unchanged since
-        arrival events fire in time order and same-instant arrivals
-        keep stream order.
+        The stream becomes a self-refilling event chain: each scheduled
+        arrival pops its successor off the stream *before* admitting
+        its own request, so
+
+        * at most ``lookahead`` future requests exist in memory, and
+        * the engine's pending-event horizon always contains the next
+          arrival at the instant any work is planned — the fusion plane
+          therefore sizes exactly the windows the materialised submit
+          path produces (streamed and submitted runs are
+          event-for-event identical).
+
+        A request counts as unfinished once it is scheduled, so a run
+        truncated at the horizon still reports scheduled-but-unserved
+        requests.  ``lookahead`` > 1 simply primes that many arrivals
+        up front; ordering is unchanged since arrival events fire in
+        time order and same-instant arrivals keep stream order.
         """
+        if lookahead <= 0:
+            raise ValueError(f"lookahead must be positive, got {lookahead}")
         system = self.system
+        engine = self.engine
+        iterator = iter(stream)
 
-        def on_pop(_request: Request) -> None:
+        def schedule_next() -> bool:
+            request = next(iterator, None)
+            if request is None:
+                return False
+            if request.arrival_time < engine.now():
+                raise ValueError(
+                    f"request {request.req_id} arrives in the past "
+                    f"({request.arrival_time} < {engine.now()}) — workload "
+                    f"streams must be ordered by arrival time"
+                )
             system._unfinished += 1
+            engine.call_at(
+                request.arrival_time,
+                lambda r=request: fire(r),
+                label=f"arrival:{request.req_id}",
+            )
+            return True
 
-        feed_stream_arrivals(
-            self.engine, stream, lookahead, on_pop, self.on_arrival, "arrival"
-        )
+        def fire(request: Request) -> None:
+            # Refill before admitting: planning triggered by this
+            # request must already see the successor arrival on the
+            # event horizon.
+            schedule_next()
+            self.on_arrival(request)
+
+        for _ in range(lookahead):
+            if not schedule_next():
+                break
 
     def on_arrival(self, request: Request) -> None:
         system = self.system

@@ -129,12 +129,11 @@ class SimEngine:
     def run_before(self, horizon: float, until: Optional[float] = None) -> float:
         """Drain events strictly *before* ``horizon``, then advance to it.
 
-        The conservative-window primitive of the sharded cluster plane:
-        a shard replays the single-process event order exactly by
-        draining everything scheduled before the next dispatch instant,
+        The conservative-window primitive of the cluster plane: a shard
+        drains everything scheduled before the next dispatch instant,
         leaving events *at* the instant pending — dispatch-time router
-        reads and admissions interleave with same-timestamp events in
-        the same order the shared-engine run produces.
+        reads and admissions come before same-timestamp replica
+        events, at every shard count.
 
         ``until`` sets :attr:`run_until` for the drained events (the
         enclosing run's safety horizon), so fused decode windows obey
@@ -181,9 +180,9 @@ class ScopedEngine:
     horizon (its events plus the cluster's next dispatch instant), so
     a sibling replica's internal events never truncate its windows.
     The same instance therefore forms the same windows whether its
-    siblings share the process (classic cluster) or live in another
-    shard (sharded cluster) — per-instance reports, executor stats
-    included, stay bit-identical across partitionings.
+    siblings share its shard or live in another one — per-instance
+    reports, executor stats included, stay bit-identical across shard
+    counts.
 
     The own-event heap holds the very :class:`Event` objects pushed to
     the shared queue; entries that were executed (``_queue`` cleared on

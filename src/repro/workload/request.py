@@ -16,6 +16,7 @@ instead of silent metric corruption.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,10 +120,13 @@ class Request:
             raise ValueError(f"prompt_len must be positive, got {self.prompt_len}")
         if self.output_len <= 0:
             raise ValueError(f"output_len must be positive, got {self.output_len}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be non-negative, got {self.arrival_time}")
+        # Chained comparisons are False for NaN, so these also reject it.
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"arrival_time must be non-negative and finite, got {self.arrival_time}"
+            )
         if self.prefix_len < 0:
             raise ValueError(f"prefix_len must be non-negative, got {self.prefix_len}")
         if self.prefix_group is not None and self.prefix_len <= 0:

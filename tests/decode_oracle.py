@@ -13,13 +13,18 @@ against them:
   permitted difference);
 * integer executor counters, timelines (as a digest), per-token
   traces and stepped series exactly;
-* engine events at most the oracle's (fusion only removes events).
+* engine events at most the oracle's (fusion only removes events;
+  a cluster's are summed over its shards, which schedule no dispatch
+  events).
 
 The ``cluster:`` cases freeze the multi-replica plane the same way:
 every built-in router on a direct-API request set (one run cut at a
 horizon), and the registry cluster scenarios × routers × seeds.  On
 top of the report fields they pin each replica's placement count, a
-digest of the request -> replica map and the unfinished count.
+digest of the request -> replica map and the unfinished count.  Their
+goldens come from the shared-engine cluster, which ran every replica
+on one event loop; :func:`observe_variant` re-runs a case at any
+shard count, transport and intake path.
 
 Regenerate after an intentional behaviour change with::
 
@@ -160,8 +165,15 @@ def _metrics(report, keys):
     return {key: getattr(report, key) for key in keys}
 
 
-def observe_report(report, engine=None) -> dict:
-    """The oracle fields of one RunReport (and its engine)."""
+def events_processed(target) -> int:
+    """Engine events of a run: the system's, or the cluster's shards'."""
+    if isinstance(target, ServingCluster):
+        return sum(target.shard_events)
+    return target.engine.events_processed
+
+
+def observe_report(report, events=None) -> dict:
+    """The oracle fields of one RunReport (and its event count)."""
     if getattr(report, "per_instance", None):
         obs = {
             "metrics": _metrics(report, CLUSTER_METRICS),
@@ -182,8 +194,8 @@ def observe_report(report, engine=None) -> dict:
                    if key != "gpu_peak_blocks"},
             "timeline": timeline_digest(report.timeline),
         }
-    if engine is not None:
-        obs["events"] = engine.events_processed
+    if events is not None:
+        obs["events"] = events
     return obs
 
 
@@ -194,7 +206,7 @@ def placements_digest(placements) -> str:
 
 def observe_cluster(cluster, report) -> dict:
     """:func:`observe_report` of a cluster run plus its routing record."""
-    obs = observe_report(report, cluster.engine)
+    obs = observe_report(report, events_processed(cluster))
     obs["placement_counts"] = cluster.placement_counts()
     obs["placements"] = placements_digest(cluster.placements)
     obs["unfinished"] = cluster.unfinished
@@ -208,23 +220,31 @@ def cell(name, scale, seed=0) -> str:
 
 def run_scenario(name, scale, seed=0, **overrides) -> dict:
     run = build_run(get_scenario(name, scale=scale, seed=seed, **overrides))
-    return observe_report(run.execute(), run.target.engine)
+    return observe_report(run.execute(), events_processed(run.target))
 
 
-def _cluster_api(router, until=None):
+def _cluster_api(router, until=None, shards=1, transport=None,
+                 streamed=False):
     """Four replicas behind ``router`` on :func:`cluster_requests`."""
     cluster = ServingCluster.homogeneous(
-        4, SchedulerRecipe("tokenflow"), router=router,
-        mem_frac=0.02, max_batch=16,
+        4, SchedulerRecipe("tokenflow"), router=router, shards=shards,
+        transport=transport, mem_frac=0.02, max_batch=16,
     )
-    cluster.submit(cluster_requests())
+    if streamed:
+        cluster.feed(iter(cluster_requests()))
+    else:
+        cluster.submit(cluster_requests())
     cluster.run(until=until)
     return observe_cluster(cluster, cluster.report())
 
 
-def _cluster_scenario(name, scale, router, seed):
-    run = build_run(get_scenario(name, scale=scale, seed=seed, router=router))
-    report = run.execute(streamed=False)
+def _cluster_scenario(name, scale, router, seed, shards=1, transport=None,
+                      streamed=False):
+    run = build_run(get_scenario(name, scale=scale, seed=seed, router=router,
+                                 shards=shards))
+    if transport is not None:
+        run.target.transport = transport
+    report = run.execute(streamed=streamed)
     return observe_cluster(run.target, report)
 
 
@@ -234,7 +254,7 @@ def _system(name, requests, cancels=(), **kwargs):
     for req_id, when in cancels:
         system.cancel_at(req_id, when)
     system.run(until=100_000.0)
-    obs = observe_report(system.report(), system.engine)
+    obs = observe_report(system.report(), events_processed(system))
     obs["generated"] = [system.tracker.get(r.req_id).request.generated
                         for r in requests]
     return obs
@@ -364,6 +384,15 @@ def observe(case: str) -> dict:
     representation (tuples become lists, keys become strings).
     """
     return json.loads(json.dumps(CASES[case]()))
+
+
+def observe_variant(case: str, shards: int, transport: str,
+                    streamed: bool) -> dict:
+    """Run ``cluster:`` case ``case`` at one shard count, transport
+    and intake path (``feed`` when ``streamed``, else ``submit``)."""
+    run = CASES[case]
+    return json.loads(json.dumps(run(shards=shards, transport=transport,
+                                     streamed=streamed)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.scheduler import TokenFlowScheduler
-from repro.serving.cluster import DISPATCH_POLICIES, ServingCluster
+from repro.serving.cluster import ServingCluster
+from repro.serving.config import ServingConfig
 from repro.serving.routers import (
     ROUTERS,
     BufferAwareRouter,
@@ -12,6 +13,7 @@ from repro.serving.routers import (
     make_router,
     register_router,
 )
+from repro.serving.server import ServingSystem
 from repro.workload.request import Request
 
 
@@ -24,9 +26,9 @@ def burst(n, prompt=64, output=32, rate=10.0, start=0.0, id_base=0,
     ]
 
 
-def make_cluster(n=2, dispatch="least_loaded"):
+def make_cluster(n=2, router="least_loaded"):
     return ServingCluster.homogeneous(
-        n, TokenFlowScheduler, dispatch=dispatch,
+        n, TokenFlowScheduler, router=router,
         hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8,
     )
 
@@ -34,31 +36,23 @@ def make_cluster(n=2, dispatch="least_loaded"):
 class TestConstruction:
     def test_homogeneous_builds_instances(self):
         cluster = make_cluster(3)
-        assert len(cluster.instances) == 3
-        # All instances schedule onto one shared engine (one timeline)
-        # through per-instance scoped views, so each plans fusion
-        # windows against only its own events + the dispatch horizon.
-        assert all(
-            inst.engine.base is cluster.engine for inst in cluster.instances
-        )
-        assert all(
-            inst.engine.external_horizon == cluster._next_dispatch_time
-            for inst in cluster.instances
-        )
+        # One shard in this process holds all three replicas.
+        assert len(cluster.configs) == 3
+        assert cluster.shards == 1
+        assert cluster.placement_counts() == [0, 0, 0]
 
     def test_invalid_dispatch_rejected(self):
         with pytest.raises(ValueError):
-            make_cluster(2, dispatch="random")
+            make_cluster(2, router="random")
 
     def test_zero_instances_rejected(self):
         with pytest.raises(ValueError):
             ServingCluster.homogeneous(0, TokenFlowScheduler)
 
     def test_policies_enumerated(self):
-        assert set(DISPATCH_POLICIES) == {"round_robin", "least_loaded", "least_queued"}
+        assert {"round_robin", "least_loaded", "least_queued"} <= set(ROUTERS)
 
     def test_registry_includes_core_and_new_routers(self):
-        assert set(DISPATCH_POLICIES) <= set(ROUTERS)
         assert {"buffer_aware", "session_affinity"} <= set(ROUTERS)
 
     def test_router_instance_accepted(self):
@@ -66,7 +60,7 @@ class TestConstruction:
             2, TokenFlowScheduler, router=BufferAwareRouter(target_buffer_s=0.5),
             hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8,
         )
-        assert cluster.dispatch == "buffer_aware"
+        assert cluster.router.name == "buffer_aware"
         assert cluster.router.target_buffer_s == 0.5
 
     def test_make_router_rejects_unknown(self):
@@ -76,20 +70,20 @@ class TestConstruction:
 
 class TestDispatch:
     def test_round_robin_stripes_evenly(self):
-        cluster = make_cluster(2, dispatch="round_robin")
+        cluster = make_cluster(2, router="round_robin")
         cluster.submit(burst(8))
         cluster.run(until=10_000.0)
         assert cluster.placement_counts() == [4, 4]
 
     def test_least_loaded_balances(self):
-        cluster = make_cluster(2, dispatch="least_loaded")
+        cluster = make_cluster(2, router="least_loaded")
         cluster.submit(burst(10))
         cluster.run(until=10_000.0)
         counts = cluster.placement_counts()
         assert abs(counts[0] - counts[1]) <= 2
 
     def test_staggered_arrivals_follow_load(self):
-        cluster = make_cluster(2, dispatch="least_loaded")
+        cluster = make_cluster(2, router="least_loaded")
         # Pin 4 long requests first; the later short ones should land
         # mostly on the other instance.
         cluster.submit(burst(4, output=512))
@@ -100,15 +94,16 @@ class TestDispatch:
         assert cluster.unfinished == 0
 
     def test_past_arrival_rejected(self):
+        # Once run, the cluster's clock has passed every arrival.
         cluster = make_cluster(1)
         cluster.run(until=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="already ran"):
             cluster.submit(burst(1, start=0.5))
 
 
 class TestRouters:
     def test_buffer_aware_prefers_idle_instance(self):
-        cluster = make_cluster(2, dispatch="buffer_aware")
+        cluster = make_cluster(2, router="buffer_aware")
         # Load instance 0 with long-running requests first.
         cluster.submit(burst(6, output=512))
         cluster.submit(burst(6, output=32, start=0.5, id_base=100))
@@ -118,16 +113,19 @@ class TestRouters:
         assert all(count > 0 for count in counts)
 
     def test_buffer_aware_deficit_counts_pending_work(self):
-        cluster = make_cluster(2, dispatch="buffer_aware")
-        router = cluster.router
-        # Queue work on instance 0 only (pre-arrival: nothing running).
-        cluster.instances[0].submit(burst(4, start=0.0))
-        cluster.run(until=0.0)
-        assert router.instance_deficit(cluster.instances[0]) > \
-            router.instance_deficit(cluster.instances[1])
+        router = BufferAwareRouter()
+        config = ServingConfig(hardware="h200", model="llama3-8b",
+                               mem_frac=0.01, max_batch=8)
+        loaded, idle = (ServingSystem(config, TokenFlowScheduler())
+                        for _ in range(2))
+        # Queue work on one instance only (pre-arrival: nothing running).
+        loaded.submit(burst(4, start=0.0))
+        for system in (loaded, idle):
+            system.run(until=0.0)
+        assert router.instance_deficit(loaded) > router.instance_deficit(idle)
 
     def test_session_affinity_sticks_turns_together(self):
-        cluster = make_cluster(3, dispatch="session_affinity")
+        cluster = make_cluster(3, router="session_affinity")
         for session in range(6):
             cluster.submit(burst(
                 3, output=16, start=float(session) * 0.1,
@@ -142,7 +140,7 @@ class TestRouters:
             assert len(nodes) == 1
 
     def test_session_affinity_standalone_requests_use_base_policy(self):
-        cluster = make_cluster(2, dispatch="session_affinity")
+        cluster = make_cluster(2, router="session_affinity")
         cluster.submit(burst(8, output=16))  # session_id=None
         cluster.run(until=10_000.0)
         counts = cluster.placement_counts()
@@ -154,11 +152,14 @@ class TestRouters:
         class AlwaysZero(Router):
             name = "always_zero_test"
 
-            def select(self, instances, request) -> int:
+            def needs_state(self, request) -> bool:
+                return False
+
+            def select_from_metrics(self, n, metrics, request) -> int:
                 return 0
 
         try:
-            cluster = make_cluster(2, dispatch="always_zero_test")
+            cluster = make_cluster(2, router="always_zero_test")
             cluster.submit(burst(4, output=16))
             cluster.run(until=10_000.0)
             assert cluster.placement_counts() == [4, 0]

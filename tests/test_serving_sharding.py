@@ -1,229 +1,172 @@
-"""Sharded cluster simulation vs the single-process cluster.
+"""The one cluster class at every shard count, against frozen goldens.
 
-The contract under test: :class:`~repro.serving.shard.ShardedServingCluster`
-partitions a replica cluster across shard workers that each advance to a
-conservative horizon (the router's next dispatch time), yet the final
-:class:`~repro.serving.cluster.ClusterReport` is **bit-identical** to the
-classic shared-engine :class:`~repro.serving.cluster.ServingCluster` — for
-every built-in router, any shard count, both workload intake paths
-(``submit`` and ``feed``), and both transports (in-process ``inline`` and
-``process`` workers).
-
-Fingerprints are compared through ``repr`` rather than tuple equality:
-instances that routed zero requests report NaN latency fields, and
-``nan != nan`` under ``==`` while ``repr`` renders both as ``'nan'``.
+:class:`~repro.serving.cluster.ServingCluster` splits its replicas into
+K shards that each advance to a conservative horizon (the router's next
+dispatch time).  The reference is the frozen oracle's ``cluster:``
+cases (``tests/decode_oracle.py``), recorded from the shared-engine
+cluster that ran every replica on one event loop.  Every K ∈ {1, 2, 4}
+× {inline, process} transport × {submit, feed} intake variant must
+reproduce it: floats to rel 1e-9; integers, placements and timelines
+exactly.
 """
 
 from __future__ import annotations
 
 import pickle
+import time
 
 import pytest
 
 from repro.experiments.systems import SchedulerRecipe
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
-from repro.serving.cluster import ServingCluster
+from repro.serving import ServingCluster, ServingConfig, shard
 from repro.serving.metrics import report_fingerprint
-from repro.serving.routers import ROUTERS, Router
-from repro.serving.shard import ShardedServingCluster
-from repro.workload.request import Request
+from repro.serving.routers import LeastLoadedRouter, Router
+from tests import decode_oracle as oracle
 
-# Registry cluster scenarios with a scale that keeps each run small
-# enough for an exhaustive sweep (the soak scenario runs 64 replicas,
-# so it gets the tiniest workload slice).
-CLUSTER_SCENARIOS = {
-    "cluster-burst-4x": 0.25,
-    "bursty-sessions": 0.25,
-    "cluster-soak-64x": 0.02,
-}
-
-ALL_ROUTERS = sorted(ROUTERS)
+ALL_ROUTERS = oracle.CLUSTER_ROUTERS
+SHARDS = (1, 2, 4)
+TRANSPORTS = ("inline", "process")
+INTAKES = ("submit", "feed")
 
 
-# --- fingerprint helpers -----------------------------------------------------
-
-def deep_fp(target, report) -> str:
-    """Everything observable from one cluster run, NaN-tolerant.
-
-    Covers the aggregate fingerprint, each instance's full fingerprint
-    plus executor/kv/scheduler stats, timeline and preemptions, and the
-    routing record (placements + per-instance counts).
-    """
-    per = [
-        (
-            report_fingerprint(r),
-            sorted(r.executor_stats.items()),
-            sorted(r.kv_stats.items()),
-            sorted(r.scheduler_stats.items()),
-            r.timeline,
-            r.preemptions,
-        )
-        for r in report.per_instance
-    ]
-    return repr(
-        (
-            report_fingerprint(report.aggregate),
-            per,
-            sorted(target.placements.items()),
-            target.placement_counts(),
-        )
-    )
+def api_case(router: str) -> str:
+    return f"cluster:api:{router}"
 
 
-def run_registry(name, *, scale, seed, router=None, shards=1,
-                 transport=None, streamed=False):
-    """Build and execute one registry scenario; return (target, fingerprint)."""
-    overrides = {"shards": shards}
-    if router is not None:
-        overrides["router"] = router
-    spec = get_scenario(name, scale=scale, seed=seed, **overrides)
-    run = build_run(spec)
-    if transport is not None and isinstance(run.target, ShardedServingCluster):
-        run.target.transport = transport
-    report = run.execute(streamed=streamed)
-    return run.target, deep_fp(run.target, report)
+def scenario_case(name: str, router: str, seed: int) -> str:
+    scale = oracle.CLUSTER_SCENARIOS[name]
+    return f"cluster:{name}:{scale}:{router}:{seed}"
 
 
-# --- direct-API helpers ------------------------------------------------------
-
-def _requests(n=48):
-    """Deterministic synthetic arrivals (already ordered for ``feed``)."""
-    return [
-        Request(
-            req_id=i,
-            arrival_time=0.03 * i,
-            prompt_len=64 + (i * 13) % 96,
-            output_len=32 + (i * 7) % 64,
-            rate=20.0,
-            session_id=i % 5,
-        )
-        for i in range(n)
-    ]
+def check_variant(case, shards, transport="inline", intake="submit"):
+    """Run ``case`` as one variant and compare it with its golden."""
+    observed = oracle.observe_variant(case, shards, transport,
+                                      streamed=intake == "feed")
+    return oracle.check(case, observed)
 
 
-def _classic(n=4, router="least_loaded"):
-    return ServingCluster.homogeneous(
-        n, SchedulerRecipe("tokenflow"), router=router,
-        mem_frac=0.02, max_batch=16,
-    )
-
-
-def _sharded(n=4, router="least_loaded", shards=2, transport="inline"):
-    return ShardedServingCluster.homogeneous(
-        n, SchedulerRecipe("tokenflow"), router=router,
+def _cluster(router="least_loaded", shards=2, transport="inline",
+             requests=None):
+    cluster = ServingCluster.homogeneous(
+        4, SchedulerRecipe("tokenflow"), router=router,
         shards=shards, transport=transport,
         mem_frac=0.02, max_batch=16,
     )
-
-
-def _classic_fp(router="least_loaded", until=None):
-    cluster = _classic(router=router)
-    cluster.submit(_requests())
-    cluster.run(until=until)
-    return deep_fp(cluster, cluster.report())
-
-
-def _sharded_fp(router="least_loaded", shards=2, transport="inline",
-                until=None, via_feed=False):
-    cluster = _sharded(router=router, shards=shards, transport=transport)
-    if via_feed:
-        cluster.feed(iter(_requests()))
-    else:
-        cluster.submit(_requests())
-    cluster.run(until=until)
-    return deep_fp(cluster, cluster.report())
+    cluster.submit(oracle.cluster_requests() if requests is None else requests)
+    cluster.run()
+    return cluster
 
 
 # --- fast lane: direct API ---------------------------------------------------
 
+@pytest.mark.parametrize("intake", INTAKES)
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("shards", SHARDS)
+def test_every_variant_matches_golden(shards, transport, intake):
+    check_variant(api_case("least_loaded"), shards, transport, intake)
+
+
 @pytest.mark.parametrize("router", ALL_ROUTERS)
 def test_inline_parity_every_router(router):
-    """K=2 inline shards reproduce the shared-engine run bit-for-bit."""
-    assert _sharded_fp(router=router, shards=2) == _classic_fp(router=router)
+    """K=2 inline shards reproduce the golden bit-for-bit."""
+    check_variant(api_case(router), shards=2)
 
 
 def test_shard_count_invariance():
-    """K ∈ {1, 2, 4} all reproduce the same run (4 replicas)."""
-    baseline = _classic_fp(router="least_loaded")
-    for shards in (1, 2, 4):
-        assert _sharded_fp(router="least_loaded", shards=shards) == baseline
+    """K ∈ {1, 4} reproduce every router's golden (4 replicas)."""
+    for router in ALL_ROUTERS:
+        for shards in (1, 4):
+            check_variant(api_case(router), shards, intake="feed")
 
 
 def test_process_transport_parity():
-    """Real worker processes: state crosses pickling boundaries intact."""
-    baseline = _classic_fp(router="least_loaded")
-    assert _sharded_fp(router="least_loaded", shards=2,
-                       transport="process") == baseline
+    """Real worker processes: state crosses pickling boundaries intact,
+    for every stateful router."""
+    for router in ("buffer_aware", "least_queued", "session_affinity"):
+        check_variant(api_case(router), shards=2, transport="process")
 
 
 def test_process_transport_stateless_router():
-    """round_robin exercises the buffered (non-pausing) fast path."""
-    baseline = _classic_fp(router="round_robin")
-    assert _sharded_fp(router="round_robin", shards=2,
-                       transport="process") == baseline
+    """round_robin exercises the buffered (round-free) fast path."""
+    check_variant(api_case("round_robin"), shards=2, transport="process")
 
 
 def test_feed_matches_submit():
-    baseline = _classic_fp(router="least_queued")
-    assert _sharded_fp(router="least_queued", via_feed=True) == baseline
-    assert _sharded_fp(router="least_queued", via_feed=False) == baseline
+    for intake in INTAKES:
+        check_variant(api_case("least_queued"), shards=2, intake=intake)
 
 
-def test_horizon_truncation_matches_classic():
-    """Requests past the horizon stay pending on both implementations."""
-    horizon = 0.03 * 24  # strands roughly half the synthetic arrivals
-    classic = _classic(router="least_loaded")
-    classic.submit(_requests())
-    classic.run(until=horizon)
-    sharded = _sharded(router="least_loaded", shards=2)
-    sharded.submit(_requests())
-    sharded.run(until=horizon)
-    assert sharded.unfinished == classic.unfinished
-    assert deep_fp(sharded, sharded.report()) == deep_fp(
-        classic, classic.report()
+@pytest.mark.parametrize("shards", SHARDS)
+def test_horizon_truncation_matches_classic(shards):
+    """Requests past the horizon stay pending at every shard count.
+
+    Submitted runs count every request past the horizon as unfinished.
+    A fed run stops at the first arrival past it, so the rest of the
+    stream is never drawn and only that one counts.
+    """
+    case = f"cluster:api:least_loaded:until={oracle.CLUSTER_HORIZON}"
+    check_variant(case, shards)
+    golden = oracle.goldens()[case]
+    observed = oracle.observe_variant(case, shards, "inline", streamed=True)
+    unrouted = sum(r.arrival_time > oracle.CLUSTER_HORIZON
+                   for r in oracle.cluster_requests())
+    assert golden["unfinished"] > unrouted > 1
+    assert observed.pop("unfinished") == golden["unfinished"] - (unrouted - 1)
+    oracle.assert_close(
+        observed, {k: v for k, v in golden.items() if k != "unfinished"}, case
     )
 
 
 def test_shards_clamped_to_replicas():
-    cluster = _sharded(n=4, shards=16)
+    cluster = ServingCluster.homogeneous(
+        4, SchedulerRecipe("tokenflow"), shards=16, mem_frac=0.02)
     assert cluster.shards == 4
 
 
 def test_non_shardable_router_rejected():
+    """A router must split measurement from selection: one that only
+    picks from the live instances cannot be built."""
     class OpaqueRouter(Router):
         name = "opaque"
 
         def select(self, instances, request):
             return 0
 
-    with pytest.raises(ValueError, match="shardable"):
-        ShardedServingCluster.homogeneous(
-            2, SchedulerRecipe("tokenflow"), router=OpaqueRouter(),
-            mem_frac=0.02, max_batch=16,
-        )
+    with pytest.raises(TypeError, match="select_from_metrics"):
+        OpaqueRouter()
 
 
 def test_env_switch_selects_inline_transport(monkeypatch):
+    def transport(shards):
+        return ServingCluster.homogeneous(
+            4, SchedulerRecipe("tokenflow"), shards=shards).transport
+
     monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-    assert _sharded(transport=None).transport == "inline"
+    assert transport(2) == "inline"
     monkeypatch.delenv("REPRO_SHARD_INLINE")
-    assert _sharded(transport=None).transport == "process"
+    assert transport(2) == "process"
+
+
+def test_unknown_transport_rejected():
+    with pytest.raises(ValueError, match="transport"):
+        ServingCluster.homogeneous(2, SchedulerRecipe("tokenflow"),
+                                   transport="carrier-pigeon")
 
 
 def test_run_twice_raises():
-    cluster = _sharded()
-    cluster.submit(_requests(8))
-    cluster.run()
+    cluster = _cluster(requests=oracle.cluster_requests(8))
     with pytest.raises(RuntimeError, match="already ran"):
         cluster.run()
     with pytest.raises(RuntimeError, match="already ran"):
-        cluster.submit(_requests(1))
+        cluster.submit(oracle.cluster_requests(1))
 
 
 def test_report_before_run_raises():
+    cluster = ServingCluster.homogeneous(2, SchedulerRecipe("tokenflow"))
     with pytest.raises(RuntimeError, match="before report"):
-        _sharded().report()
+        cluster.report()
 
 
 def test_scheduler_recipe_pickles():
@@ -231,16 +174,48 @@ def test_scheduler_recipe_pickles():
     assert recipe().name == "tokenflow"
 
 
+# --- fast lane: teardown ------------------------------------------------------
+
+class ShardOneFaultRouter(LeastLoadedRouter):
+    """least_loaded that raises while measuring the replicas built with
+    ``max_batch=15`` (the second shard below) for request 3 onwards."""
+
+    name = "shard_one_fault"
+
+    def instance_metrics(self, instance, request):
+        if instance.config.max_batch == 15 and request.req_id >= 3:
+            raise RuntimeError("injected router fault")
+        return super().instance_metrics(instance, request)
+
+
+def test_shard_fault_tears_down_every_shard(monkeypatch):
+    """A shard raising mid-run surfaces at once and stops the other
+    shard, so the next run on the same warm pool is healthy."""
+    monkeypatch.setattr(shard, "GATHER_TIMEOUT_S", 20.0)
+    configs = ([ServingConfig(mem_frac=0.02, max_batch=16)] * 2
+               + [ServingConfig(mem_frac=0.02, max_batch=15)] * 2)
+    faulty = ServingCluster(configs, SchedulerRecipe("tokenflow"),
+                            router=ShardOneFaultRouter(), shards=2,
+                            transport="process")
+    faulty.submit(oracle.cluster_requests())
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="injected router fault"):
+        faulty.run()
+    assert time.monotonic() - start < 5.0
+
+    start = time.monotonic()
+    check_variant(api_case("least_loaded"), shards=2, transport="process")
+    assert time.monotonic() - start < 10.0
+
+
 # --- fast lane: scenario/CLI plumbing ---------------------------------------
 
-def test_build_run_shards_one_uses_classic_cluster():
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=1)
-    run = build_run(spec)
-    assert isinstance(run.target, ServingCluster)
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2)
-    run = build_run(spec)
-    assert isinstance(run.target, ShardedServingCluster)
-    assert run.target.shards == 2
+def test_build_run_builds_one_cluster_class():
+    for shards in (1, 2):
+        run = build_run(get_scenario("cluster-burst-4x", scale=0.1,
+                                     shards=shards))
+        assert isinstance(run.target, ServingCluster)
+        assert run.target.shards == shards
 
 
 def test_sharded_cells_inside_matrix_workers():
@@ -248,9 +223,9 @@ def test_sharded_cells_inside_matrix_workers():
 
     A nested warm pool inside a matrix worker deadlocks worker
     shutdown (multiprocessing joins the worker's children before the
-    nested executor's atexit shutdown runs), so the sharded cluster
-    must fall back to the inline transport off the main process —
-    with identical results.
+    nested executor's atexit shutdown runs), so the cluster must fall
+    back to the inline transport off the main process — with
+    identical results.
     """
     from repro.orchestration import MatrixSpec, run_matrix
 
@@ -267,11 +242,8 @@ def test_sharded_cells_inside_matrix_workers():
 
 def test_registry_parity_process_transport():
     """One registry scenario end-to-end through real worker processes."""
-    _, baseline = run_registry("cluster-burst-4x", scale=0.1, seed=0)
-    _, sharded = run_registry(
-        "cluster-burst-4x", scale=0.1, seed=0, shards=2, transport="process"
-    )
-    assert sharded == baseline
+    check_variant(scenario_case("cluster-burst-4x", "least_loaded", 0),
+                  shards=2, transport="process")
 
 
 # --- slow lane: exhaustive registry sweep ------------------------------------
@@ -279,182 +251,92 @@ def test_registry_parity_process_transport():
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("router", ALL_ROUTERS)
-@pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(oracle.CLUSTER_SCENARIOS))
 def test_registry_sweep_bit_identical(name, router, seed):
-    """Scenarios × routers × seeds × {submit, feed}: sharded == classic."""
-    scale = CLUSTER_SCENARIOS[name]
-    for streamed in (False, True):
-        _, baseline = run_registry(
-            name, scale=scale, seed=seed, router=router, streamed=streamed
-        )
-        _, sharded = run_registry(
-            name, scale=scale, seed=seed, router=router, shards=2,
-            transport="inline", streamed=streamed,
-        )
-        assert sharded == baseline, (
-            f"{name} router={router} seed={seed} streamed={streamed}"
-        )
+    """Scenarios × routers × seeds × {submit, feed} at K=2 == golden."""
+    for intake in INTAKES:
+        check_variant(scenario_case(name, router, seed), shards=2,
+                      intake=intake)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(oracle.CLUSTER_SCENARIOS))
 def test_registry_shard_count_invariance(name):
-    """K ∈ {2, 4} reproduce the scenario's classic run exactly."""
-    scale = CLUSTER_SCENARIOS[name]
-    _, baseline = run_registry(name, scale=scale, seed=0)
-    for shards in (2, 4):
-        _, sharded = run_registry(
-            name, scale=scale, seed=0, shards=shards, transport="inline"
-        )
-        assert sharded == baseline, f"{name} shards={shards}"
+    """K ∈ {1, 4} reproduce every router's golden of the scenario."""
+    for router in ALL_ROUTERS:
+        for shards in (1, 4):
+            check_variant(scenario_case(name, router, 0), shards,
+                          intake="feed")
 
 
 @pytest.mark.slow
 def test_soak_process_transport_parity():
     """64 replicas over 4 real worker processes, round_robin fast path."""
-    _, baseline = run_registry("cluster-soak-64x", scale=0.02, seed=0)
-    _, sharded = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, shards=4, transport="process"
-    )
-    assert sharded == baseline
+    check_variant(scenario_case("cluster-soak-64x", "round_robin", 0),
+                  shards=4, transport="process")
 
 
 # --- speculative dispatch ----------------------------------------------------
 #
-# The trajectory-snapshot mirror (Router.speculative) must change
-# nothing observable except the coordination counters: placements and
-# reports stay bit-identical with speculation on, off, and across the
-# classic cluster, while rounds collapse for stateful routers.
-
-def _sharded_spec(router="least_loaded", shards=2, speculation=True,
-                  n_requests=48):
-    cluster = ShardedServingCluster.homogeneous(
-        4, SchedulerRecipe("tokenflow"), router=router,
-        shards=shards, transport="inline", speculation=speculation,
-        mem_frac=0.02, max_batch=16,
-    )
-    cluster.submit(_requests(n_requests))
-    cluster.run()
-    return cluster
-
-
-def test_speculation_off_matches_on_bit_for_bit():
-    on = _sharded_spec(speculation=True)
-    off = _sharded_spec(speculation=False)
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
-
-
-def test_speculation_off_reproduces_pause_round_counts():
-    """speculation=False pays one round per stateful dispatch — the
-    pre-speculation protocol, exactly."""
-    off = _sharded_spec(speculation=False)
-    # least_loaded needs state for every arrival.
-    assert off.coordination_rounds == len(_requests())
-    assert off.speculation_hits == 0
-    assert off.speculation_misses == 0
-
+# The trajectory-snapshot mirror (Router.speculative) changes nothing
+# observable except the coordination counters: placements and reports
+# match the goldens while rounds collapse for stateful routers.
 
 def test_speculation_cuts_rounds():
-    on = _sharded_spec(speculation=True)
-    off = _sharded_spec(speculation=False)
-    assert on.coordination_rounds < off.coordination_rounds
-    assert on.messages_sent < off.messages_sent
+    cluster = _cluster(router="least_loaded")
+    # least_loaded reads replica state on every dispatch.
+    stateful = len(oracle.cluster_requests())
+    assert cluster.coordination_rounds < stateful
     # Every stateful dispatch except the very first (no mirror yet —
     # nothing to speculate against) is accounted: resolved
     # speculatively (hit), validated by a round (hit), or rolled back
     # (miss).
-    assert (on.speculation_hits + on.speculation_misses
-            == off.coordination_rounds - 1)
+    assert (cluster.speculation_hits + cluster.speculation_misses
+            == stateful - 1)
 
 
 def test_speculation_counters_surface_in_cluster_report():
-    on = _sharded_spec(speculation=True)
-    report = on.report()
-    assert report.coordination_rounds == on.coordination_rounds
-    assert report.messages_sent == on.messages_sent
-    assert report.speculation_hits == on.speculation_hits
-    assert report.speculation_misses == on.speculation_misses
+    cluster = _cluster(router="least_loaded")
+    report = cluster.report()
+    assert report.coordination_rounds == cluster.coordination_rounds
+    assert report.messages_sent == cluster.messages_sent
+    assert report.speculation_hits == cluster.speculation_hits
+    assert report.speculation_misses == cluster.speculation_misses
     assert report.speculation_hits > 0
-    classic = _classic()
-    classic.submit(_requests())
-    classic.run()
-    classic_report = classic.report()
-    assert classic_report.coordination_rounds == 0
-    assert classic_report.speculation_hits == 0
 
 
 def test_speculation_non_speculative_router_unchanged():
-    """buffer_aware opts out of snapshots: speculation on/off are the
-    same protocol (every stateful dispatch pauses), same results."""
-    on = _sharded_spec(router="buffer_aware", speculation=True)
-    off = _sharded_spec(router="buffer_aware", speculation=False)
-    assert on.coordination_rounds == off.coordination_rounds
-    assert on.speculation_hits == 0
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
+    """buffer_aware opts out of snapshots: every stateful dispatch
+    pays one round, and nothing is speculated."""
+    cluster = _cluster(router="buffer_aware")
+    assert cluster.coordination_rounds == len(oracle.cluster_requests())
+    assert cluster.speculation_hits == cluster.speculation_misses == 0
 
 
 def test_speculation_process_transport_parity():
     """Snapshots pickle across the worker boundary intact."""
-    baseline = _classic_fp(router="least_loaded")
-    cluster = _sharded(router="least_loaded", shards=2, transport="process")
-    cluster.submit(_requests())
-    cluster.run()
-    assert deep_fp(cluster, cluster.report()) == baseline
+    cluster = _cluster(router="least_loaded", transport="process")
+    assert oracle.placements_digest(cluster.placements) == (
+        oracle.goldens()[api_case("least_loaded")]["placements"])
     assert cluster.speculation_hits > 0
 
 
 def test_session_affinity_speculation_folds_sticky_hits():
     """Sticky (stateless) placements must fold into the mirror too —
-    parity across on/off proves the folded trajectory stays exact."""
-    on = _sharded_spec(router="session_affinity", speculation=True)
-    off = _sharded_spec(router="session_affinity", speculation=False)
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
-    assert on.coordination_rounds < off.coordination_rounds
-
-
-def test_speculation_spec_plumbing():
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2,
-                        speculation=False)
-    run = build_run(spec)
-    assert run.target.speculation is False
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2)
-    run = build_run(spec)
-    assert run.target.speculation is True
-
-
-@pytest.mark.slow
-def test_registry_speculation_off_parity_sweep():
-    """speculation=off × routers × scenarios: same fingerprints as the
-    default (speculation=on) sharded runs."""
-    for name, scale in sorted(CLUSTER_SCENARIOS.items()):
-        for router in ("least_loaded", "session_affinity"):
-            _, on_fp = run_registry(
-                name, scale=scale, seed=0, router=router, shards=2,
-                transport="inline",
-            )
-            spec = get_scenario(name, scale=scale, seed=0, router=router,
-                                shards=2, speculation=False)
-            run = build_run(spec)
-            run.target.transport = "inline"
-            report = run.execute()
-            assert deep_fp(run.target, report) == on_fp, (
-                f"{name} router={router}"
-            )
+    matching the golden proves the folded trajectory stays exact."""
+    check_variant(api_case("session_affinity"), shards=2)
+    cluster = _cluster(router="session_affinity")
+    # Only a session's first turn reads replica state.
+    sessions = {r.session_id for r in oracle.cluster_requests()}
+    assert cluster.coordination_rounds < len(sessions)
 
 
 @pytest.mark.slow
 def test_soak_least_loaded_speculation_process_parity():
     """The acceptance workload: 64 replicas, least_loaded, 4 real
-    worker processes, speculation on — bit-identical to classic."""
-    _, baseline = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, router="least_loaded"
-    )
-    target, sharded = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, router="least_loaded",
-        shards=4, transport="process",
-    )
-    assert sharded == baseline
-    assert target.speculation_hits > 0
+    worker processes — the shared-engine cluster's golden."""
+    check_variant(scenario_case("cluster-soak-64x", "least_loaded", 0),
+                  shards=4, transport="process")
 
 
 # --- per-shard streaming telemetry (O(active) reports) -----------------------

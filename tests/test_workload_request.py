@@ -24,6 +24,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_request(**kwargs)
 
+    @pytest.mark.parametrize("field", ["arrival", "rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        # A NaN arrival used to be accepted and crash a cluster run
+        # deep inside (float -> int conversion of the arrival time).
+        with pytest.raises(ValueError, match="finite"):
+            make_request(**{field: value})
+
 
 class TestTransitions:
     def test_normal_lifecycle(self):
