@@ -98,8 +98,7 @@ def test_feed_matches_submit():
         check_variant(api_case("least_queued"), shards=2, intake=intake)
 
 
-@pytest.mark.parametrize("shards", SHARDS)
-def test_horizon_truncation_matches_classic(shards):
+def test_horizon_truncation_matches_classic():
     """Requests past the horizon stay pending at every shard count.
 
     Submitted runs count every request past the horizon as unfinished.
@@ -107,16 +106,20 @@ def test_horizon_truncation_matches_classic(shards):
     stream is never drawn and only that one counts.
     """
     case = f"cluster:api:least_loaded:until={oracle.CLUSTER_HORIZON}"
-    check_variant(case, shards)
     golden = oracle.goldens()[case]
-    observed = oracle.observe_variant(case, shards, "inline", streamed=True)
     unrouted = sum(r.arrival_time > oracle.CLUSTER_HORIZON
                    for r in oracle.cluster_requests())
     assert golden["unfinished"] > unrouted > 1
-    assert observed.pop("unfinished") == golden["unfinished"] - (unrouted - 1)
-    oracle.assert_close(
-        observed, {k: v for k, v in golden.items() if k != "unfinished"}, case
-    )
+    for shards in SHARDS:
+        check_variant(case, shards)
+        observed = oracle.observe_variant(case, shards, "inline",
+                                          streamed=True)
+        assert (observed.pop("unfinished")
+                == golden["unfinished"] - (unrouted - 1)), shards
+        oracle.assert_close(
+            observed, {k: v for k, v in golden.items() if k != "unfinished"},
+            f"{case} shards={shards}",
+        )
 
 
 def test_shards_clamped_to_replicas():
