@@ -15,8 +15,8 @@ under the ``naive`` allocator on the identical workload, asserting
 * **parity of demand** — the naive run on the same workload allocates
   strictly more fresh blocks than the prefix run.
 
-Emits ``benchmarks/BENCH_prefix.json`` recording the counters and the
-naive-vs-prefix allocation deltas.
+Writes ``benchmarks/out/BENCH_prefix.json`` recording the counters and
+the naive-vs-prefix allocation deltas.
 
 Run just this harness with::
 
@@ -25,10 +25,7 @@ Run just this harness with::
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, record_artifact
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
 
@@ -37,8 +34,6 @@ SEED = 0
 MIN_SAVINGS = 0.30
 
 SCENARIOS = ("prefix-heavy-agents", "rag-replay")
-
-BENCH_PATH = Path(__file__).resolve().parent / "BENCH_prefix.json"
 
 COUNTER_KEYS = (
     "prefix_lookups", "prefix_hits", "prefix_shared_blocks",
@@ -89,7 +84,7 @@ def test_prefix_sharing_savings():
             "workload with kv_allocator=naive"
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = record_artifact("BENCH_prefix.json", payload)
 
     lines = [f"prefix sharing — scale={SCALE} seed={SEED}"]
     for row in rows:
@@ -103,7 +98,7 @@ def test_prefix_sharing_savings():
             f"forks={counters['cow_forks']} "
             f"evictions={counters['prefix_evictions']}"
         )
-    lines.append(f"  artifact -> {BENCH_PATH.name}")
+    lines.append(f"  artifact -> {path}")
     emit("\n".join(lines))
 
     for row in rows:

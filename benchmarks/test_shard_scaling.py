@@ -18,12 +18,14 @@ A second block measures the **speculative dispatch** acceptance point:
 ``least_loaded`` over K=4 shards.  Without speculation every stateful
 dispatch would pay one blocking round; with it, arrivals resolve
 against the trajectory-snapshot mirror, and the rounds actually paid
-must be at least 5x fewer than the counted stateful dispatches.  Both
-figures land in the artifact's ``speculation`` block and append to its
-``history`` trajectory.
+must be at least 5x fewer than the counted stateful dispatches, and
+(rounds are deterministic) at most 10% above the best speculative row
+of the committed ``benchmarks/BENCH_shard.json`` history.  Both figures
+land in the artifact's ``speculation`` block and extend its ``history``
+trajectory by one row when they differ from the last committed row.
 
-Emits ``benchmarks/BENCH_shard.json`` so the trajectory guards in
-``tests/test_perf_trajectory.py`` can watch the committed figures.
+Writes ``benchmarks/out/BENCH_shard.json``; the tracked file is the
+committed reference that ``tests/test_perf_trajectory.py`` guards.
 
 Run just this harness with::
 
@@ -32,12 +34,10 @@ Run just this harness with::
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import committed_artifact, emit, record_artifact
 from repro.orchestration.pool import get_pool
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import CLUSTER_SOAK_REPLICAS, get_scenario
@@ -56,7 +56,11 @@ SHARD_COUNTS = (1, 2, 4)
 # below 1.0; 1.15 leaves honest noise headroom.
 MAX_OVERHEAD = 1.15
 
-BENCH_PATH = Path(__file__).resolve().parent / "BENCH_shard.json"
+# Trajectory band: live speculative rounds may exceed the best
+# committed speculative row by at most this fraction.
+ALLOWED_ROUNDS_REGRESSION = 0.10
+
+BENCH_NAME = "BENCH_shard.json"
 
 
 def _timed_run(shards, router=None):
@@ -80,16 +84,6 @@ def _stateful_dispatches(router_name):
     router = make_router(router_name)
     spec = get_scenario(SCENARIO, scale=SCALE, seed=SEED)
     return sum(router.needs_state(r) for r in spec.build_workload_stream())
-
-
-def _load_history():
-    """Prior rounds/messages trajectory from the committed artifact."""
-    if not BENCH_PATH.exists():
-        return []
-    try:
-        return list(json.loads(BENCH_PATH.read_text()).get("history", []))
-    except (ValueError, OSError):
-        return []
 
 
 def test_shard_scaling_soak64():
@@ -136,15 +130,30 @@ def test_shard_scaling_soak64():
         f"is >= 5x"
     )
 
-    history = _load_history()
-    history.append({
+    history = list(committed_artifact(BENCH_NAME).get("history", []))
+    speculative = [
+        row["coordination_rounds"] for row in history if row["reduction"] > 1.0
+    ]
+    if speculative:
+        ceiling = (1.0 + ALLOWED_ROUNDS_REGRESSION) * min(speculative)
+        assert spec_on.coordination_rounds <= ceiling, (
+            f"coordination rounds regressed: {spec_on.coordination_rounds} "
+            f"is more than {ALLOWED_ROUNDS_REGRESSION:.0%} above the best "
+            f"committed row ({min(speculative)}, ceiling {ceiling:.0f})"
+        )
+    row = {
         "coordination_rounds": spec_on.coordination_rounds,
         "messages_sent": spec_on.messages_sent,
         "speculation_hits": spec_on.speculation_hits,
         "speculation_misses": spec_on.speculation_misses,
         "reduction": round(reduction, 2),
         "notes": "speculative dispatch (trajectory-snapshot mirror)",
-    })
+    }
+    # One row per distinct measured state: an unchanged re-run keeps
+    # the committed row (and its note) instead of appending a copy.
+    counts = [key for key in row if key != "notes"]
+    if not history or any(history[-1].get(key) != row[key] for key in counts):
+        history.append(row)
 
     best = min(rows[1:], key=lambda row: row["wall_s"])
     payload = {
@@ -178,7 +187,7 @@ def test_shard_scaling_soak64():
             "mirror vs one round per stateful dispatch, parity-asserted"
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = record_artifact(BENCH_NAME, payload)
 
     lines = [
         f"shard scaling — {SCENARIO} scale={SCALE} "
@@ -199,7 +208,7 @@ def test_shard_scaling_soak64():
         f"hits={spec_on.speculation_hits} "
         f"misses={spec_on.speculation_misses}"
     )
-    lines.append(f"  artifact -> {BENCH_PATH.name}")
+    lines.append(f"  artifact -> {path}")
     emit("\n".join(lines))
 
     # Wall-clock gates are skippable on loaded/foreign machines; the

@@ -20,6 +20,12 @@
 # a wedged shard gather fails the lane instead of holding the runner
 # for the gather's own 600 s ceiling in every test that hits it.
 #
+# Running the suite must not change a tracked file: the state of the
+# tracked tree (`git status --porcelain --untracked-files=no` plus a
+# checksum of `git diff HEAD`) is snapshotted before each pytest lane
+# and the lane fails if it differs afterwards.  Benchmark harnesses
+# write their artifacts to the git-ignored benchmarks/out/.
+#
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
 # call-count gate still protects perf regressions).
@@ -41,14 +47,37 @@ export REPRO_PERF_NO_WALL_GATE=1
 FAST_TIMEOUT=15m
 FULL_TIMEOUT=60m
 
+tracked_state() {
+  # Empty outside a git checkout (e.g. an unpacked archive): nothing
+  # to compare, so the check passes vacuously.
+  git status --porcelain --untracked-files=no 2>/dev/null || true
+  git diff --no-ext-diff HEAD 2>/dev/null | cksum || true
+}
+
+# Run one pytest lane under its timeout; fail it if it changed the
+# tracked tree.
+run_pytest_lane() {
+  local limit="$1"
+  shift
+  local before after lane_rc=0
+  before="$(tracked_state)"
+  timeout --kill-after=30s "$limit" python -m pytest "$@" || lane_rc=$?
+  after="$(tracked_state)"
+  if [[ "$before" != "$after" ]]; then
+    echo "== pytest changed tracked files (git status before/after): ==" >&2
+    diff <(echo "$before") <(echo "$after") >&2 || true
+    [[ "$lane_rc" -ne 0 ]] || lane_rc=1
+  fi
+  return "$lane_rc"
+}
+
 # Capture pytest's status explicitly and exit with it: `set -e` must
 # not be able to swallow or reinterpret the suite's result, no matter
 # what trailing steps are added after this block.
 rc=0
 if [[ "$FAST" -eq 1 ]]; then
   echo "== fast lane: pytest -m 'not slow' (incl. golden decode and cluster suites) =="
-  timeout --kill-after=30s "$FAST_TIMEOUT" \
-    python -m pytest -x -q -m "not slow" || rc=$?
+  run_pytest_lane "$FAST_TIMEOUT" -x -q -m "not slow" || rc=$?
   if [[ "$rc" -eq 0 ]]; then
     # Orchestrator smoke: one tiny scenario cell across 2 worker
     # processes, uncached, so a broken pool/pickling path fails fast.
@@ -74,12 +103,12 @@ if [[ "$FAST" -eq 1 ]]; then
   fi
 else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
-  timeout --kill-after=30s "$FULL_TIMEOUT" python -m pytest -x -q || rc=$?
+  run_pytest_lane "$FULL_TIMEOUT" -x -q || rc=$?
 fi
 
 if [[ "$rc" -ne 0 ]]; then
   # 124: the lane's timeout fired (137 if it had to kill).
-  echo "== CI lane FAILED (pytest exit $rc) =="
+  echo "== CI lane FAILED (exit $rc) =="
   exit "$rc"
 fi
 echo "== CI lane OK =="

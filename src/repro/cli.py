@@ -44,6 +44,7 @@ from repro.experiments import ratesweep, sensitivity, temporal, timeline, toy
 from repro.experiments.runner import run_comparison
 from repro.experiments.systems import SYSTEM_NAMES
 from repro.scenarios import build_run, get_scenario, list_scenarios
+from repro.scenarios.spec import require_positive_finite
 from repro.serving.metrics import RunReport
 from repro.serving.routers import ROUTERS
 from repro.sim.rng import RngStreams
@@ -577,6 +578,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Workloads are sized from --scale before any spec exists, so every
+    # verb checks it (and --horizon) up front, as ScenarioSpec does.
+    for name in ("scale", "horizon"):
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                require_positive_finite(name, value)
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
+                return 2
     return args.func(args)
 
 

@@ -73,7 +73,6 @@ class ClientBuffer:
         # window, folded into ``_occ_hist`` lazily on first read
         # (histogram addition commutes, so deferring is exact).
         self._occ_pending: list = []
-        self._occ_max = 0
         # Optional unbounded per-token traces (plots, JSONL export).
         self._trace = record_trace
         self._gen_times: Optional[list] = [] if record_trace else None
@@ -98,19 +97,14 @@ class ClientBuffer:
         """Number of mid-stream rate adjustments applied."""
         return self._rate_changes
 
-    @property
-    def records_trace(self) -> bool:
-        """Whether per-token timestamp traces are being kept."""
-        return self._trace
-
     # --- delivery --------------------------------------------------------
     def deliver(self, timestamp: float) -> None:
         """Record delivery of one token at ``timestamp``.
 
-        NOTE: :meth:`deliver_many` inlines this exact logic (and the
-        cursor advance of :meth:`consumed_count`) for the fused decode
-        path — any semantic or float-op change here must be mirrored
-        there, or fused-vs-unfused bit-parity breaks.
+        The only copy of the consumption state machine: every other
+        delivery path either calls it (:meth:`deliver_many`) or is the
+        array kernel that solves the same recurrence for a whole batch
+        (:func:`repro.serving.batchstate.deliver_batch`).
         """
         if self._last_gen is not None and timestamp < self._last_gen:
             raise ValueError("deliveries must have non-decreasing timestamps")
@@ -157,104 +151,30 @@ class ClientBuffer:
             occupancy = self._delivered - self.consumed_count(timestamp)
         count = self._occ_hist.get(occupancy)
         self._occ_hist[occupancy] = 1 if count is None else count + 1
-        if occupancy > self._occ_max:
-            self._occ_max = occupancy
         if self._trace:
             self._occupancy_at_gen.append(occupancy)
 
     def deliver_many(self, timestamps) -> None:
-        """Record delivery of one token at each of ``timestamps``.
+        """Record delivery of one token at each of ``timestamps``, in order.
 
-        Exactly equivalent to calling :meth:`deliver` once per
-        timestamp, in order — the same float operations in the same
-        order, so stall accounting, segment anchors, and the occupancy
-        histogram are bit-identical — but the per-token work runs in
-        one call frame.  This is the fused decode path's bulk token
-        emission: a macro-step window delivers K tokens per request in
-        one call instead of K.
-
-        ``timestamps`` must be non-decreasing (a violation raises, as
-        in :meth:`deliver`).  The pacing interval is read once: a rate
-        change mid-call (e.g. from a generator driving ``timestamps``)
-        raises RuntimeError — the serving loop cannot hit this, since
-        rate changes land at scheduler ticks, between windows.  The
-        vectorised batch plane (:mod:`repro.serving.batchstate`) bakes
-        the same assumption into its array kernel, and reads/writes
-        this buffer's private state directly under that contract.
+        A loop over :meth:`deliver`.  ``timestamps`` must be
+        non-decreasing (a violation raises, as in :meth:`deliver`).  A
+        rate change mid-call (e.g. from a generator driving
+        ``timestamps``) raises RuntimeError: the serving loop cannot
+        hit this, since rate changes land at scheduler ticks, between
+        windows, and the vectorised batch plane
+        (:mod:`repro.serving.batchstate`) bakes the same assumption
+        into its array kernel.
         """
         interval = self.interval
-        occ_hist = self._occ_hist
-        trace = self._trace
-        segments = self._segments
-        delivered = self._delivered
-        consumed = self._consumed
-        nxt = self._next_consume
-        cursor_interval = self._cursor_interval
-        last_gen = self._last_gen
-        last_consume = self._last_consume
-        tail_interval = self._tail_interval
-        stall_time = self._stall_time
-        occ_max = self._occ_max
+        deliver = self.deliver
         for timestamp in timestamps:
             if self.interval != interval:
                 raise RuntimeError(
                     "rate changed mid-delivery: set_rate must not run "
                     "while deliver_many is iterating its timestamps"
                 )
-            if last_gen is not None and timestamp < last_gen:
-                raise ValueError("deliveries must have non-decreasing timestamps")
-            last_gen = timestamp
-            if last_consume is not None:
-                ideal = last_consume + interval
-                if timestamp > ideal:
-                    stall_time += timestamp - ideal
-                    consume = timestamp
-                    fresh_segment = True
-                else:
-                    consume = ideal
-                    fresh_segment = interval != tail_interval
-            else:
-                consume = timestamp
-                fresh_segment = True
-            index = delivered
-            if nxt is None and consumed == index:
-                nxt = consume
-                cursor_interval = interval
-            elif fresh_segment:
-                segments.append((index, consume, interval))
-            if fresh_segment:
-                tail_interval = interval
-            last_consume = consume
-            delivered = index + 1
-            if trace:
-                self._gen_times.append(timestamp)
-                self._consume_times.append(consume)
-            # Advance the consumption cursor (consumed_count inlined,
-            # with its early exit for mid-interval queries).
-            while nxt is not None and nxt <= timestamp:
-                consumed += 1
-                if segments and segments[0][0] == consumed:
-                    _, nxt, cursor_interval = segments.popleft()
-                elif consumed < delivered:
-                    nxt = nxt + cursor_interval
-                else:
-                    nxt = None
-            occupancy = delivered - consumed
-            count = occ_hist.get(occupancy)
-            occ_hist[occupancy] = 1 if count is None else count + 1
-            if occupancy > occ_max:
-                occ_max = occupancy
-            if trace:
-                self._occupancy_at_gen.append(occupancy)
-        self._delivered = delivered
-        self._consumed = consumed
-        self._next_consume = nxt
-        self._cursor_interval = cursor_interval
-        self._last_gen = last_gen
-        self._last_consume = last_consume
-        self._tail_interval = tail_interval
-        self._stall_time = stall_time
-        self._occ_max = occ_max
+            deliver(timestamp)
 
     # --- queries ---------------------------------------------------------
     def consumed_count(self, now: float) -> int:
@@ -346,11 +266,6 @@ class ClientBuffer:
         if self._occ_pending:
             self._flush_occ_pending()
         return self._occ_hist
-
-    @property
-    def max_occupancy(self) -> int:
-        """Largest buffer occupancy observed at any generation instant."""
-        return self._occ_max
 
     def _require_trace(self) -> None:
         if not self._trace:

@@ -36,13 +36,9 @@ class SlidingWindowMean:
         self._values.append(value)
         self._sum += value
 
-    def observe_many(self, values) -> None:
-        """Observe each element in order (bulk form of :meth:`observe`
-        — identical arithmetic, one call instead of one per sample)."""
-        self.observe_bulk(list(values))
-
     def observe_bulk(self, values: list) -> None:
-        """The single bulk implementation behind :meth:`observe_many`.
+        """Observe each element in order (bulk form of :meth:`observe`
+        — identical arithmetic, one call instead of one per sample).
 
         Replays :meth:`observe`'s exact subtract-then-add float
         sequence over plain list indexing (the running ``_sum`` depends

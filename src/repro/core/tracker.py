@@ -55,10 +55,6 @@ class TrackerSnapshot:
         """Bulk :meth:`buffer_seconds`, one float per request."""
         return self._tracker.buffer_seconds_many(requests, self.now)
 
-    def min_buffer_seconds(self, requests: Sequence) -> float:
-        """Smallest buffer (seconds) across ``requests`` (non-empty)."""
-        return self._tracker.min_buffer_seconds(requests, self.now)
-
 
 class RequestTracker:
     """Registry of all requests seen by the serving system.
@@ -122,26 +118,19 @@ class RequestTracker:
     def entries_by_id(self) -> dict:
         """Live ``{req_id -> TrackedRequest}`` map (treat read-only).
 
-        Exposed for the serving loop's token-emission hot path, which
-        pairs each delivery with :meth:`invalidate_occupancy`.
+        Exposed for the decode kernels, which deliver straight into
+        the buffers and must pair every delivery with an occupancy
+        invalidation (:attr:`occupancy_invalidator` or
+        :meth:`invalidate_occupancy_all`).
         """
         return self._entries
 
-    def invalidate_occupancy(self, req_id: int) -> None:
-        """Drop the memoised occupancy for one request.
-
-        Must be called whenever a buffer is mutated out-of-band (e.g.
-        a token delivered directly through the entry) at the memoised
-        instant; :meth:`deliver_token` does this automatically.
-        """
-        self._memo_occ.pop(req_id, None)
-
     @property
     def occupancy_invalidator(self):
-        """Bound ``dict.pop`` implementing :meth:`invalidate_occupancy`
-        without a wrapper call — invoke as ``invalidator(req_id, None)``.
-        (The memo dict is cleared in place, never rebound, so the bound
-        method stays valid for the tracker's lifetime.)"""
+        """Bound ``dict.pop`` dropping one request's memoised occupancy
+        — invoke as ``invalidator(req_id, None)``.  (The memo dict is
+        cleared in place, never rebound, so the bound method stays
+        valid for the tracker's lifetime.)"""
         return self._memo_occ.pop
 
     def invalidate_occupancy_all(self) -> None:
@@ -155,39 +144,19 @@ class RequestTracker:
         self._memo_occ.clear()
 
     # --- event hooks --------------------------------------------------------
-    def deliver_token(self, req_id: int, timestamp: float) -> None:
-        """Record one generated token flowing into the client buffer."""
-        entry = self._entries.get(req_id)
-        if entry is None:
-            raise KeyError(f"request {req_id} is not tracked")
-        entry.request.record_token(timestamp)
-        entry.buffer.deliver(timestamp)
-        # The buffer's occupancy at this very instant changed.
-        self._memo_occ.pop(req_id, None)
+    def deliver_tokens(self, req_id: int, timestamps) -> None:
+        """Record one generated token at each instant of ``timestamps``
+        (in order) flowing into the client buffer.
 
-    def deliver_tokens(self, req_id: int, timestamps: list) -> None:
-        """Bulk :meth:`deliver_token`: one token at each instant.
-
-        Equivalent to calling :meth:`deliver_token` once per timestamp
-        in order, with the per-token request/buffer bookkeeping done in
-        bulk (the fused decode path's per-request token application).
+        The count and the timestamp order are checked
+        (:meth:`Request.record_tokens`) before any state changes.
         """
         entry = self._entries.get(req_id)
         if entry is None:
             raise KeyError(f"request {req_id} is not tracked")
-        request = entry.request
-        n = len(timestamps)
-        if request.generated + n > request.output_len:
-            raise RuntimeError(
-                f"request {req_id} would exceed its {request.output_len} tokens"
-            )
-        if request.ttft is None:
-            first = timestamps[0]
-            request.ttft = first - request.arrival_time
-            request.first_token_time = first
-        request.generated += n
-        request.token_times.extend(timestamps)
+        entry.request.record_tokens(timestamps)
         entry.buffer.deliver_many(timestamps)
+        # The buffer's occupancy at this very instant changed.
         self._memo_occ.pop(req_id, None)
 
     def mark_finished(self, req_id: int, timestamp: float) -> None:
@@ -236,21 +205,18 @@ class RequestTracker:
         """b_rem: unread tokens currently buffered for this request."""
         return self._memo_entry(req_id, now)[0]
 
-    def drain_deadline(self, req_id: int, now: float) -> float:
-        """Seconds until this request's buffer runs dry at rate r.
+    def rate(self, req_id: int) -> float:
+        return self.get(req_id).request.rate
+
+    def buffer_seconds(self, req_id: int, now: float) -> float:
+        """Buffer occupancy measured in seconds of consumption: how long
+        until this request's buffer runs dry at rate r, the slack before
+        preempting it would stall the client.
 
         Derived from the memoised occupancy and the buffer's *current*
         interval, so a mid-stream :meth:`ClientBuffer.set_rate` is
         reflected immediately even on a memo hit.
         """
-        occ, buffer = self._memo_entry(req_id, now)
-        return occ * buffer.interval
-
-    def rate(self, req_id: int) -> float:
-        return self.get(req_id).request.rate
-
-    def buffer_seconds(self, req_id: int, now: float) -> float:
-        """Buffer occupancy measured in seconds of consumption."""
         occ, buffer = self._memo_entry(req_id, now)
         return occ * buffer.interval
 
@@ -284,30 +250,11 @@ class RequestTracker:
     def min_buffer_seconds(self, requests: Sequence, now: float) -> float:
         """Smallest ``buffer_seconds`` across ``requests`` (non-empty).
 
-        One flat pass over the shared memo — the bulk query behind the
-        serving loop's per-iteration min-buffer index.
+        The serving loop's per-iteration min-buffer index.
         """
-        if now != self._memo_now:
-            self._memo_now = now
-            self._memo_occ.clear()
-        memo = self._memo_occ
-        memo_get = memo.get
-        entries = self._entries
-        smallest: Optional[float] = None
-        for request in requests:
-            req_id = request.req_id
-            cached = memo_get(req_id)
-            if cached is None:
-                buffer = entries[req_id].buffer
-                cached = (buffer.occupancy(now), buffer)
-                memo[req_id] = cached
-            occ, buffer = cached
-            seconds = occ * buffer.interval
-            if smallest is None or seconds < smallest:
-                smallest = seconds
-        if smallest is None:
+        if not requests:
             raise ValueError("min_buffer_seconds needs a non-empty request set")
-        return smallest
+        return min(self.buffer_seconds_many(requests, now))
 
     def snapshot(self, now: float) -> TrackerSnapshot:
         """Bulk buffer-state view at ``now`` sharing the per-instant memo."""

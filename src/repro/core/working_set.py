@@ -96,7 +96,7 @@ class WorkingSetPolicy:
         validates ``prompt_len > 0``, so every context is positive and
         no filter is needed.)
         """
-        self._beta.observe_many(
+        self._beta.observe_bulk(
             [float(r.prompt_len + r.generated) for r in requests]
         )
 

@@ -12,10 +12,14 @@ requests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.gpu.latency import LatencyModel
+
+# Window length for the Γ (throughput capacity) estimate.
+CAPACITY_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -37,15 +41,17 @@ class ExecutorStats:
     prefill_tokens: int = 0
     decode_tokens: int = 0
     busy_time: float = 0.0
-    # Sliding window of recent decode steps for capacity estimation.
-    recent_decode: list = field(default_factory=list)
+    # The last CAPACITY_WINDOW decode steps, (tokens, seconds) each,
+    # for capacity estimation.
+    recent_decode: deque = field(
+        default_factory=lambda: deque(maxlen=CAPACITY_WINDOW)
+    )
 
 
 class LLMExecutor:
     """Batched iteration planner over a latency model."""
 
-    # Window length for the Γ (throughput capacity) estimate.
-    CAPACITY_WINDOW = 32
+    CAPACITY_WINDOW = CAPACITY_WINDOW
 
     def __init__(self, latency: LatencyModel, max_prefill_tokens: int = 8192) -> None:
         if max_prefill_tokens <= 0:
@@ -90,38 +96,28 @@ class LLMExecutor:
     # --- accounting ----------------------------------------------------------
     def commit(self, result: IterationResult) -> None:
         """Record a completed iteration in the running totals."""
+        if result.kind != "prefill":
+            self.commit_fused(result, (result.duration,))
+            return
         self.stats.busy_time += result.duration
-        if result.kind == "prefill":
-            self.stats.prefill_iterations += 1
-            self.stats.prefill_tokens += result.tokens
-        else:
-            self.stats.decode_iterations += 1
-            self.stats.decode_tokens += result.tokens
-            window = self.stats.recent_decode
-            window.append((result.tokens, result.duration))
-            if len(window) > self.CAPACITY_WINDOW:
-                window.pop(0)
+        self.stats.prefill_iterations += 1
+        self.stats.prefill_tokens += result.tokens
 
     def commit_fused(self, result: IterationResult, step_durations: Sequence) -> None:
-        """Record ``len(step_durations)`` decode iterations in one call.
+        """Record ``len(step_durations)`` decode iterations of ``result``'s
+        batch, one per step duration.
 
-        Equivalent to committing one :class:`IterationResult` per fused
-        iteration (same batch, per-iteration durations): busy time
-        accumulates with the identical per-iteration float additions,
-        and the capacity window ends with the exact entries the
-        sequential appends would have left behind.
+        Busy time accumulates with one float addition per iteration.
         """
         stats = self.stats
-        k = len(step_durations)
         tokens = result.tokens
+        window = stats.recent_decode
         for duration in step_durations:
             stats.busy_time += duration
+            window.append((tokens, duration))
+        k = len(step_durations)
         stats.decode_iterations += k
         stats.decode_tokens += tokens * k
-        window = stats.recent_decode
-        window.extend([(tokens, duration) for duration in step_durations])
-        if len(window) > self.CAPACITY_WINDOW:
-            del window[: len(window) - self.CAPACITY_WINDOW]
 
     def capacity_estimate(self) -> float:
         """Γ: recent decode throughput in tokens/s (paper §4.3).

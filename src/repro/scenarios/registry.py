@@ -41,7 +41,7 @@ import dataclasses
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.gpu.hardware import get_hardware
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, require_positive_finite
 from repro.sim.rng import RngStreams
 from repro.workload.builder import RateMixture, WorkloadBuilder, WorkloadSpec
 from repro.workload.lengths import NormalLengthSampler
@@ -90,6 +90,9 @@ def get_scenario(
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown scenario {name!r}; known: {known}")
     _, builder = _REGISTRY[name]
+    # Builders size crowds from the scale (e.g. ``int(400 * scale)``),
+    # so a bad scale must be rejected before it reaches them.
+    require_positive_finite("scale", scale)
     spec = builder(scale=scale, seed=seed)
     if overrides:
         spec = spec.with_overrides(**overrides)

@@ -11,10 +11,17 @@ systems identically (the "one pipeline" invariant).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from repro.serving.routers import ROUTERS, Router
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """Reject a non-positive, infinite or NaN ``value`` for ``name``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +102,8 @@ class ScenarioSpec:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
         if self.shards <= 0:
             raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        require_positive_finite("scale", self.scale)
+        require_positive_finite("horizon", self.horizon)
         if isinstance(self.router, str) and self.router not in ROUTERS:
             raise ValueError(
                 f"unknown router {self.router!r}; known: {sorted(ROUTERS)}"

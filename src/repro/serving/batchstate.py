@@ -95,7 +95,7 @@ def deliver_batch(tracker, requests, times) -> None:
     if not fast_rows:
         return
 
-    # --- request bookkeeping (mirrors RequestTracker.deliver_tokens) --
+    # --- request bookkeeping (Request.record_tokens, inlined per row) --
     for request, _ in fast_rows:
         if request.generated + k > request.output_len:
             raise RuntimeError(
@@ -232,7 +232,6 @@ def deliver_batch(tracker, requests, times) -> None:
     t_last = times[-1]
     c_last = c[:, -1].tolist()
     stall_add_l = stall_add.tolist()
-    occ_max_l = occ.max(axis=1).tolist()
     consumed_l = consumed_f.tolist()
     all_done_l = all_done.tolist()
     in_window_l = in_window.tolist()
@@ -249,8 +248,6 @@ def deliver_batch(tracker, requests, times) -> None:
         stall = stall_add_l[b]
         if stall != 0.0:
             buffer._stall_time += stall
-        if occ_max_l[b] > buffer._occ_max:
-            buffer._occ_max = occ_max_l[b]
         buffer._consumed = consumed_l[b]
         if all_done_l[b]:
             buffer._next_consume = None

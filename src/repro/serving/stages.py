@@ -688,9 +688,10 @@ class DecodeStream:
             entries = self.tracker.entries_by_id
             invalidate = self.tracker.occupancy_invalidator
             for request in live:
-                # Request.record_token inlined (the timestamp-order
-                # check is vacuous here: the engine's clock is
-                # monotone, so `now` never precedes a past token).
+                # Request.record_tokens inlined for one token (the
+                # timestamp-order check is vacuous here: the engine's
+                # clock is monotone, so `now` never precedes a past
+                # token).
                 if request.generated >= request.output_len:
                     raise RuntimeError(
                         f"request {request.req_id} already generated "
@@ -721,10 +722,10 @@ class DecodeStream:
 
     # --- token delivery / completion ----------------------------------
     def emit_token(self, request: Request, now: float) -> None:
-        # NOTE: complete_decode inlines this sequence (delivery,
-        # last-token-time update, finish check) for the per-token hot
-        # loop — any semantic change here must be mirrored there.
-        self.tracker.deliver_token(request.req_id, now)
+        """Deliver prefill's first output token (the decode kernels,
+        :meth:`complete_decode` and :func:`deliver_batch`, deliver
+        theirs straight into the buffers)."""
+        self.tracker.deliver_tokens(request.req_id, (now,))
         if now > self.last_token_time:
             self.last_token_time = now
         if request.generated >= request.output_len:

@@ -188,19 +188,29 @@ class Request:
             )
         self.state = new_state
 
-    def record_token(self, timestamp: float) -> None:
-        """Record generation of one output token at ``timestamp``."""
-        if self.generated >= self.output_len:
+    def record_tokens(self, timestamps) -> None:
+        """Record generation of one output token at each of ``timestamps``.
+
+        The count and the timestamp order are checked before any state
+        changes, so a rejected call leaves the request untouched.
+        """
+        if self.generated + len(timestamps) > self.output_len:
             raise RuntimeError(
-                f"request {self.req_id} already generated all {self.output_len} tokens"
+                f"request {self.req_id} would exceed its {self.output_len} tokens"
             )
-        if self.token_times and timestamp < self.token_times[-1]:
-            raise ValueError("token timestamps must be non-decreasing")
+        previous = self.token_times[-1] if self.token_times else None
+        for timestamp in timestamps:
+            if previous is not None and timestamp < previous:
+                raise ValueError("token timestamps must be non-decreasing")
+            previous = timestamp
+        if not timestamps:
+            return
         if self.ttft is None:
-            self.ttft = timestamp - self.arrival_time
-            self.first_token_time = timestamp
-        self.generated += 1
-        self.token_times.append(timestamp)
+            first = timestamps[0]
+            self.ttft = first - self.arrival_time
+            self.first_token_time = first
+        self.generated += len(timestamps)
+        self.token_times.extend(timestamps)
 
     def inter_token_latencies(self) -> list:
         """The δ_{i,1..L-1} sequence from the paper's QoS definition."""

@@ -85,6 +85,23 @@ class TestScenarioCommands:
         assert code == 2
         assert "unknown system" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, flag", [
+        (["run", "table1-h200-a"], "--scale"),
+        (["run", "table1-h200-a"], "--horizon"),
+        (["matrix", "table1-rtx4090-a", "--list"], "--scale"),
+        (["experiment", "fig06"], "--scale"),
+        (["profile"], "--scale"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_fails_cleanly(self, capsys, verb, flag, value):
+        assert main(verb + [flag, value]) == 2
+        captured = capsys.readouterr()
+        name = flag.lstrip("-")
+        assert captured.err.splitlines() == [
+            f"{name} must be positive and finite, got {float(value)}"
+        ]
+        assert captured.out == ""
+
     def test_run_unknown_router_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table1-h200-a",

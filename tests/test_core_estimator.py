@@ -33,7 +33,7 @@ class TestSlidingWindowMean:
 
     def test_bulk_bit_identical_to_sequential(self):
         # Contract behind the fused decode path's boundary replay:
-        # observe_bulk/observe_many must leave the running sum and
+        # observe_bulk must leave the running sum and
         # window contents *bit*-identical to per-sample observe calls,
         # chunked any which way (the sum carries the whole observation
         # history's float error, so only an exact replay matches).

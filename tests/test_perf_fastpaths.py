@@ -165,7 +165,7 @@ class TestTrackerMemo:
         tracker = RequestTracker()
         tracker.register(make_request(req_id=1, output=32, rate=10.0))
         for idx in range(10):
-            tracker.deliver_token(1, 0.01 * idx)
+            tracker.deliver_tokens(1, [0.01 * idx])
         first = tracker.occupancy(1, 0.1)
         # A second query at the same instant must hit the memo (same
         # object identity for the cached tuple entry).
@@ -176,9 +176,9 @@ class TestTrackerMemo:
     def test_deliver_invalidates_memo_at_same_instant(self):
         tracker = RequestTracker()
         tracker.register(make_request(req_id=1, output=32, rate=10.0))
-        tracker.deliver_token(1, 0.0)
+        tracker.deliver_tokens(1, [0.0])
         assert tracker.occupancy(1, 0.05) == 0  # token 0 consumed at 0.0
-        tracker.deliver_token(1, 0.05)
+        tracker.deliver_tokens(1, [0.05])
         # Same `now`, but the delivery just changed the buffer: the
         # memo entry must have been dropped and recomputed.
         assert tracker.occupancy(1, 0.05) == 1
@@ -187,7 +187,7 @@ class TestTrackerMemo:
         tracker = RequestTracker()
         tracker.register(make_request(req_id=1, output=64, rate=10.0))
         for idx in range(10):
-            tracker.deliver_token(1, 0.01 * idx)
+            tracker.deliver_tokens(1, [0.01 * idx])
         now = 0.1
         occupancy = tracker.occupancy(1, now)
         assert tracker.buffer_seconds(1, now) == occupancy * (1.0 / 10.0)
@@ -206,7 +206,7 @@ class TestTrackerMemo:
             tracker.register(request)
             requests.append(request)
             for idx in range(rid * 3):
-                tracker.deliver_token(rid, 0.01 * idx)
+                tracker.deliver_tokens(rid, [0.01 * idx])
         now = 0.5
         expected = min(tracker.buffer_seconds(r.req_id, now) for r in requests)
         assert tracker.min_buffer_seconds(requests, now) == expected

@@ -1,9 +1,11 @@
 """Perf-trajectory guard over the tracked benchmark artifact.
 
-``benchmarks/BENCH_simcore.json`` is the committed perf trajectory:
-each full tier-1 run refreshes it with the current deterministic
-call-count speedup (see ``benchmarks/test_perf_simcore.py``) and keeps
-the best ratio ever recorded under ``best.calls``.  This guard is
+``benchmarks/BENCH_simcore.json`` is the committed perf trajectory.
+Each full tier-1 run writes fresh figures (the current deterministic
+call-count speedup, the best ratio ever recorded under ``best.calls``)
+to the git-ignored ``benchmarks/out/`` and checks the live ratio
+against the committed best (see ``benchmarks/test_perf_simcore.py``);
+copying ``out/`` over the tracked file records them.  This guard is
 cheap (no simulation) so it runs in the fast CI lane too, and fails
 when the recorded current ratio has slid more than 10% below the
 recorded best — i.e. when a perf regression was *measured and

@@ -36,6 +36,18 @@ class TestSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", router="warp_drive")
 
+    @pytest.mark.parametrize("field", ["scale", "horizon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ScenarioSpec(name="x", **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_get_scenario_rejects_bad_scale_before_building(self, value):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            get_scenario("table1-h200-a", scale=value)
+
     def test_with_overrides_revalidates(self):
         spec = ScenarioSpec(name="x")
         assert spec.with_overrides(replicas=3).replicas == 3

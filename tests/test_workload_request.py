@@ -79,7 +79,7 @@ class TestTransitions:
 class TestTokens:
     def test_record_token_sets_ttft(self):
         request = make_request(arrival=1.0)
-        request.record_token(3.5)
+        request.record_tokens([3.5])
         assert request.ttft == pytest.approx(2.5)
         assert request.first_token_time == 3.5
         assert request.generated == 1
@@ -87,26 +87,26 @@ class TestTokens:
     def test_context_len_tracks_generation(self):
         request = make_request(prompt=64, output=4)
         assert request.context_len == 64
-        request.record_token(1.0)
+        request.record_tokens([1.0])
         assert request.context_len == 65
         assert request.remaining_output == 3
 
     def test_over_generation_rejected(self):
         request = make_request(output=1)
-        request.record_token(1.0)
+        request.record_tokens([1.0])
         with pytest.raises(RuntimeError):
-            request.record_token(2.0)
+            request.record_tokens([2.0])
 
     def test_decreasing_timestamps_rejected(self):
         request = make_request(output=4)
-        request.record_token(1.0)
+        request.record_tokens([1.0])
         with pytest.raises(ValueError):
-            request.record_token(0.5)
+            request.record_tokens([0.5])
 
     def test_inter_token_latencies(self):
         request = make_request(output=8)
         for t in (0.0, 0.1, 0.3, 0.6):
-            request.record_token(t)
+            request.record_tokens([t])
         assert request.inter_token_latencies() == pytest.approx([0.1, 0.2, 0.3])
 
     def test_repr_is_informative(self):
