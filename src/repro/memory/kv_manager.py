@@ -641,7 +641,10 @@ class HierarchicalKVManager:
             record.gpu_tokens = 0
             self.stats["recompute_drops"] += 1
             return now
-        total_blocks = self.gpu_pool.used_by(req_id)
+        # Blocks an earlier, still in-flight eviction will free are not
+        # this context's: counting them would free live blocks now and
+        # let that eviction's completion free them a second time.
+        total_blocks = self.gpu_pool.used_by(req_id) - record.pending_free_blocks
         dirty_blocks = self.gpu_pool.blocks_for_tokens(dirty)
         if self.prefix is not None and dirty_blocks > total_blocks:
             # The dirty tail spans blocks the request maps from the

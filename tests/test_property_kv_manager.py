@@ -10,7 +10,7 @@ no orphaned blocks.
 import pytest
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.memory.blocks import OutOfMemory
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
@@ -104,6 +104,10 @@ class TestKVManagerProperties:
 
     @given(ops=operations)
     @settings(max_examples=100, deadline=None)
+    # Preempt again while the first eviction's transfer is in flight: the
+    # second preempt must not count the pending-free blocks as its own.
+    @example(ops=[("prefill", 3, 21), ("preempt", 3, 1), ("resume_load", 3, 1),
+                  ("preempt", 3, 1), ("resume_load", 3, 1)])
     def test_write_back_mode_invariants(self, ops):
         engine, kv = fresh_manager(write_through=False)
         drive(engine, kv, ops, write_through=False)
